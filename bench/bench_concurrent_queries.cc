@@ -191,6 +191,12 @@ struct BandStats {
   size_t rejected = 0;     // admission queue full (kResourceExhausted)
   size_t unavailable = 0;  // shed / transport failures after retries
   size_t errors = 0;
+  // The band's measured traffic window, which QPS divides by: a saturated
+  // server finishes its backlog after the nominal duration.
+  std::chrono::steady_clock::time_point first_send =
+      std::chrono::steady_clock::time_point::max();
+  std::chrono::steady_clock::time_point last_completion =
+      std::chrono::steady_clock::time_point::min();
 };
 
 // Live fds of this process (/proc/self/fd entries, excluding the iterating
@@ -259,11 +265,13 @@ BandStats RunOpenLoopWorker(uint16_t port, const std::string& priority,
     std::this_thread::sleep_until(scheduled);  // no-op when already late
     QueryResult result;
     server::QueryStatsWire wire_stats;
+    if (n == 0) stats.first_send = std::chrono::steady_clock::now();
     const Status status =
         client.Query(n % 2 == 0 ? kQ1Sql : kQ6Sql, &result, &wire_stats);
     const auto done = std::chrono::steady_clock::now();
     if (status.ok()) {
       ++stats.completed;
+      stats.last_completion = done;
       stats.latency_ms.push_back(
           std::chrono::duration<double, std::milli>(done - scheduled).count());
       stats.queue_wait_ms.push_back(
@@ -291,6 +299,9 @@ void MergeBand(BandStats* into, BandStats&& from) {
   into->rejected += from.rejected;
   into->unavailable += from.unavailable;
   into->errors += from.errors;
+  into->first_send = std::min(into->first_send, from.first_send);
+  into->last_completion =
+      std::max(into->last_completion, from.last_completion);
 }
 
 // Arms every socket and allocation failpoint at a seeded probability. The
@@ -530,8 +541,12 @@ int RunSustainedLoad(const LoadFlags& flags) {
     for (size_t k = 0; k < flags.clients_per_band; ++k) {
       MergeBand(&band, std::move(per_worker[b * flags.clients_per_band + k]));
     }
-    const double qps =
-        static_cast<double>(band.completed) / flags.duration_sec;
+    double qps = 0.0;
+    if (band.completed > 0) {
+      const std::chrono::duration<double> window =
+          band.last_completion - band.first_send;
+      qps = static_cast<double>(band.completed) / window.count();
+    }
     const double p50_ms = PercentileMs(band.latency_ms, 0.50);
     const double p99_ms = PercentileMs(band.latency_ms, 0.99);
     const double qwait_p99_ms = PercentileMs(band.queue_wait_ms, 0.99);

@@ -28,6 +28,34 @@ void BM_BitUnpack(benchmark::State& state) {
 }
 BENCHMARK(BM_BitUnpack)->Arg(4)->Arg(7)->Arg(14)->Arg(21)->Arg(28)->Arg(40);
 
+// The scan's call shape: 4096-value batches into one L1-resident buffer at
+// a chosen word, so the unpack work shows instead of the store bandwidth of
+// BM_BitUnpack's multi-megabyte output.
+void BM_BitUnpackBatches(benchmark::State& state) {
+  const int w = static_cast<int>(state.range(0));
+  const int word = static_cast<int>(state.range(1));
+  constexpr size_t kBatch = 4096;
+  auto packed = bench::MakePackedColumn(kRows, w, w);
+  AlignedBuffer out(kBatch * 8);
+  for (auto _ : state) {
+    for (size_t start = 0; start < kRows; start += kBatch) {
+      BitUnpackToWord(packed.data(), start, kBatch, w, out.data(), word);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kRows));
+}
+BENCHMARK(BM_BitUnpackBatches)
+    ->Args({4, 1})
+    ->Args({7, 1})
+    ->Args({14, 2})
+    ->Args({21, 4})
+    ->Args({28, 4})
+    ->Args({40, 8})
+    ->Args({6, 4})
+    ->Args({24, 8});
+
 void BM_CompactToIndexVector(benchmark::State& state) {
   const double sel = static_cast<double>(state.range(0)) / 100.0;
   auto bytes = bench::MakeSelection(kRows, sel, 7);

@@ -16,11 +16,13 @@
 //   BIPIE_BENCH_ROWS      input rows per measurement (default 1 << 22)
 //   BIPIE_BENCH_REPEATS   repetitions per cell, median taken (default 5)
 //   BIPIE_BENCH_JSON_DIR  output directory for BENCH_<name>.json (default .)
+// ROWS and REPEATS must be positive integers; anything else exits 2.
 #ifndef BIPIE_BENCH_BENCH_UTIL_H_
 #define BIPIE_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,18 +40,33 @@
 
 namespace bipie::bench {
 
-inline size_t BenchRows() {
-  if (const char* env = std::getenv("BIPIE_BENCH_ROWS")) {
-    return static_cast<size_t>(std::strtoull(env, nullptr, 10));
+// Positive integer knob from the environment, or `fallback` when unset.
+// Zero, a sign, trailing characters or a value above `max` exit 2: a run
+// with zero rows or zero repeats has no median and would write inf/nan into
+// BENCH_*.json.
+inline uint64_t PositiveEnvKnob(const char* name, uint64_t fallback,
+                                uint64_t max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(env, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(env[0])) || *end != '\0' ||
+      errno == ERANGE || value == 0 || value > max) {
+    std::fprintf(stderr, "%s='%s': expected an integer in [1, %llu]\n", name,
+                 env, static_cast<unsigned long long>(max));
+    std::exit(2);
   }
-  return size_t{1} << 22;
+  return value;
+}
+
+inline size_t BenchRows() {
+  return static_cast<size_t>(
+      PositiveEnvKnob("BIPIE_BENCH_ROWS", size_t{1} << 22, uint64_t{1} << 40));
 }
 
 inline int BenchRepeats() {
-  if (const char* env = std::getenv("BIPIE_BENCH_REPEATS")) {
-    return std::atoi(env);
-  }
-  return 5;
+  return static_cast<int>(PositiveEnvKnob("BIPIE_BENCH_REPEATS", 5, 1 << 20));
 }
 
 // --- machine-readable results ------------------------------------------------
@@ -158,6 +175,7 @@ inline double MeasureCyclesPerRow(size_t rows,
                                   const std::function<void()>& fn,
                                   int repeats = BenchRepeats(),
                                   const std::string& label = "") {
+  BIPIE_DCHECK(rows > 0 && repeats > 0);
   fn();
   std::vector<double> cycle_samples;
   std::vector<double> ns_samples;

@@ -27,6 +27,16 @@ IsaTier Detect() {
   return IsaTier::kScalar;
 }
 
+bool DetectVbmi() {
+#if defined(__x86_64__) || defined(_M_X64)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
+    return (ecx & (1u << 1)) != 0;  // AVX512_VBMI
+  }
+#endif
+  return false;
+}
+
 IsaTier g_override = IsaTier::kAvx512;  // clamped to detected tier on read
 
 }  // namespace
@@ -42,6 +52,11 @@ IsaTier CurrentIsaTier() {
 }
 
 void SetIsaTierForTesting(IsaTier tier) { g_override = tier; }
+
+bool VbmiEnabled() {
+  static const bool vbmi = DetectVbmi();
+  return vbmi && CurrentIsaTier() >= IsaTier::kAvx512;
+}
 
 const char* IsaTierName(IsaTier tier) {
   switch (tier) {

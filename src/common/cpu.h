@@ -28,6 +28,12 @@ IsaTier CurrentIsaTier();
 // concurrent kernel execution; intended for test setup only.
 void SetIsaTierForTesting(IsaTier tier);
 
+// True when kernels may use AVX-512 VBMI (VPERMB, VPMULTISHIFTQB): the
+// dispatch tier is kAvx512 and the CPU has VBMI. VBMI is not part of the
+// kAvx512 tier contract, so it is probed on its own; lowering the tier with
+// SetIsaTierForTesting turns it off.
+bool VbmiEnabled();
+
 const char* IsaTierName(IsaTier tier);
 
 }  // namespace bipie

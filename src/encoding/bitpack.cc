@@ -41,35 +41,38 @@ void BitUnpackToWord(const uint8_t* src, size_t start, size_t n,
                      int bit_width, void* out, int word_bytes) {
   BIPIE_DCHECK(word_bytes >= SmallestWordBytes(bit_width));
   if (n == 0) return;
-  const IsaTier tier = CurrentIsaTier();
-  if (tier >= IsaTier::kAvx512) {
+  if (VbmiEnabled()) {
     internal::BitUnpackAvx512(src, start, n, bit_width, out, word_bytes);
-    return;
-  }
-  if (tier >= IsaTier::kAvx2) {
+  } else if (CurrentIsaTier() >= IsaTier::kAvx2) {
     internal::BitUnpackAvx2(src, start, n, bit_width, out, word_bytes);
-    return;
+  } else {
+    internal::BitUnpackScalarToWord(src, start, n, bit_width, out,
+                                    word_bytes);
   }
+}
+
+namespace internal {
+
+void BitUnpackScalarToWord(const uint8_t* src, size_t start, size_t n,
+                           int bit_width, void* out, int word_bytes) {
   switch (word_bytes) {
     case 1:
-      internal::BitUnpackScalar(src, start, n, bit_width,
-                                static_cast<uint8_t*>(out));
+      BitUnpackScalar(src, start, n, bit_width, static_cast<uint8_t*>(out));
       break;
     case 2:
-      internal::BitUnpackScalar(src, start, n, bit_width,
-                                static_cast<uint16_t*>(out));
+      BitUnpackScalar(src, start, n, bit_width, static_cast<uint16_t*>(out));
       break;
     case 4:
-      internal::BitUnpackScalar(src, start, n, bit_width,
-                                static_cast<uint32_t*>(out));
+      BitUnpackScalar(src, start, n, bit_width, static_cast<uint32_t*>(out));
       break;
     case 8:
-      internal::BitUnpackScalar(src, start, n, bit_width,
-                                static_cast<uint64_t*>(out));
+      BitUnpackScalar(src, start, n, bit_width, static_cast<uint64_t*>(out));
       break;
     default:
       BIPIE_DCHECK(false);
   }
 }
+
+}  // namespace internal
 
 }  // namespace bipie

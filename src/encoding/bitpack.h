@@ -7,9 +7,10 @@
 // Unpacking always emits elements of the smallest power-of-two byte width
 // (1, 2, 4 or 8) that fits the bit width — the "smallest word" rule of §2.2.
 //
-// The AVX2 unpack kernels may read up to 8 bytes past the last touched
-// packed byte; packed buffers must provide AlignedBuffer::kPaddingBytes of
-// readable padding.
+// The AVX-512 unpack kernels load whole 64-byte blocks starting at the first
+// byte of a value they decode, so they may read up to 63 bytes past the last
+// packed byte (the AVX2 gathers read at most 8); packed buffers must provide
+// AlignedBuffer::kPaddingBytes (64) of readable padding.
 #ifndef BIPIE_ENCODING_BITPACK_H_
 #define BIPIE_ENCODING_BITPACK_H_
 
@@ -77,13 +78,18 @@ void BitUnpackScalar(const uint8_t* src, size_t start, size_t n,
   }
 }
 
+// BitUnpackScalar at a runtime word width in {1, 2, 4, 8}.
+void BitUnpackScalarToWord(const uint8_t* src, size_t start, size_t n,
+                           int bit_width, void* out, int word_bytes);
+
 // AVX2 tier entry point, defined in bitpack_avx2.cc. word_bytes in {1,2,4,8}.
 void BitUnpackAvx2(const uint8_t* src, size_t start, size_t n, int bit_width,
                    void* out, int word_bytes);
 
-// AVX-512 tier entry point, defined in bitpack_avx512.cc (compiled with
-// AVX-512 flags). Falls through to the AVX2 kernels for widths its 16-lane
-// dword gathers cannot cover.
+// AVX-512 VBMI entry point, defined in bitpack_avx512.cc (compiled with
+// AVX-512 VBMI flags); the dispatcher enters it only when VbmiEnabled().
+// Permutes each value's bytes into its lane from one 64-byte load instead of
+// gathering. Widths above 57 are scalar.
 void BitUnpackAvx512(const uint8_t* src, size_t start, size_t n,
                      int bit_width, void* out, int word_bytes);
 

@@ -140,32 +140,12 @@ void UnpackWide(const uint8_t* src, size_t start, size_t n, int w, void* out,
   }
 }
 
-void UnpackScalarDispatch(const uint8_t* src, size_t start, size_t n, int w,
-                          void* out, int word_bytes) {
-  switch (word_bytes) {
-    case 1:
-      BitUnpackScalar(src, start, n, w, static_cast<uint8_t*>(out));
-      break;
-    case 2:
-      BitUnpackScalar(src, start, n, w, static_cast<uint16_t*>(out));
-      break;
-    case 4:
-      BitUnpackScalar(src, start, n, w, static_cast<uint32_t*>(out));
-      break;
-    case 8:
-      BitUnpackScalar(src, start, n, w, static_cast<uint64_t*>(out));
-      break;
-    default:
-      BIPIE_DCHECK(false);
-  }
-}
-
 }  // namespace
 
 void BitUnpackAvx2(const uint8_t* src, size_t start, size_t n, int bit_width,
                    void* out, int word_bytes) {
   if (bit_width > 57) {
-    UnpackScalarDispatch(src, start, n, bit_width, out, word_bytes);
+    BitUnpackScalarToWord(src, start, n, bit_width, out, word_bytes);
     return;
   }
   if (bit_width > 25) {
@@ -181,7 +161,7 @@ void BitUnpackAvx2(const uint8_t* src, size_t start, size_t n, int bit_width,
   size_t prologue = (8 - (start & 7)) & 7;
   if (prologue > n) prologue = n;
   if (prologue > 0) {
-    UnpackScalarDispatch(src, start, prologue, bit_width, dst, word_bytes);
+    BitUnpackScalarToWord(src, start, prologue, bit_width, dst, word_bytes);
     start += prologue;
     n -= prologue;
     dst += prologue * word_bytes;

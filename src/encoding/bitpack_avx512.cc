@@ -1,151 +1,159 @@
-// AVX-512 tier of the bit-unpacking kernels.
+// AVX-512 VBMI tier of the bit-unpacking kernels.
 //
-// Same gather/shift/mask strategy as the AVX2 tier, but 16 values per
-// iteration via 512-bit dword gathers, with single-instruction narrowing
-// (VPMOVDB / VPMOVDW) instead of the pack-and-permute dance. Widths above
-// 25 bits delegate to the AVX2 tier's 64-bit path.
+// Each iteration does one 64-byte load from the first byte of its first
+// value and fills one 64-byte output vector; no gathers. VPERMB moves every
+// value's bytes into its output lane, then:
+//
+//   word 1, 2:        VPMULTISHIFTQB extracts each value from the 8 bytes of
+//                     its qword into consecutive words (64 or 32 values).
+//   word 4, w <= 25:  dword windows, VPSRLVD (16 values).
+//   word 4, w 26..32: two sets of qword windows from the same load, VPSRLVQ,
+//                     VPERMT2D keeps the low dwords (16 values).
+//   word 8, w <= 57:  qword windows, VPSRLVQ (8 values). Widening dword
+//                     lanes would cost two extra port-5 shuffles per 16.
+//
+// and a mask clears the bits above the value. The final partial vector is
+// stored under a byte mask, so the kernels never write past `n` values.
+// Widths above 57 can straddle 9 bytes and stay scalar.
 #include <immintrin.h>
 
+#include "common/aligned_buffer.h"
 #include "encoding/bitpack.h"
+#include "encoding/vbmi_tables.h"
 
 namespace bipie::internal {
 
+#if defined(__AVX512VBMI__)
+
 namespace {
 
-// 16 consecutive packed values starting at base_bit as zero-extended u32
-// lanes. Requires w <= 25 and base_bit + 16w < 2^31.
-BIPIE_ALWAYS_INLINE __m512i Gather16(const uint8_t* src, uint32_t base_bit,
-                                     __m512i lane_bits, __m512i value_mask) {
-  const __m512i bits = _mm512_add_epi32(
-      _mm512_set1_epi32(static_cast<int>(base_bit)), lane_bits);
-  const __m512i byte_off = _mm512_srli_epi32(bits, 3);
-  const __m512i shift = _mm512_and_si512(bits, _mm512_set1_epi32(7));
-  __m512i words = _mm512_i32gather_epi32(byte_off, src, 1);
-  words = _mm512_srlv_epi32(words, shift);
-  return _mm512_and_si512(words, value_mask);
-}
+static_assert(AlignedBuffer::kPaddingBytes >= 64,
+              "the kernels load 64 bytes from the first byte of any value");
 
-__m512i MakeLaneBits(int w) {
-  alignas(64) int lanes[16];
-  for (int i = 0; i < 16; ++i) lanes[i] = i * w;
-  return _mm512_load_si512(lanes);
-}
-
-void UnpackNarrow512(const uint8_t* src, size_t n, int w, void* out,
-                     int word_bytes) {
-  const __m512i lane_bits = MakeLaneBits(w);
-  const __m512i value_mask =
-      _mm512_set1_epi32(static_cast<int>(LowBitsMask(w)));
-  const uint32_t wu = static_cast<uint32_t>(w);
+// Runs `extract` (64 packed-bytes -> one 64-byte vector of 64 / word_bytes
+// values) over the stream. src holds value 0 at bit 0; 64 / word_bytes is a
+// multiple of 8, so every iteration starts on a byte boundary.
+template <typename Extract>
+BIPIE_ALWAYS_INLINE void UnpackLoop(const uint8_t* src, size_t n, int w,
+                                    int word_bytes, uint8_t* dst,
+                                    Extract extract) {
+  const size_t per_vector = 64 / static_cast<size_t>(word_bytes);
+  const size_t step = per_vector * static_cast<size_t>(w) / 8;
   size_t i = 0;
-  switch (word_bytes) {
-    case 1: {
-      auto* dst = static_cast<uint8_t*>(out);
-      for (; i + 16 <= n; i += 16) {
-        const __m512i v =
-            Gather16(src, static_cast<uint32_t>(i) * wu, lane_bits,
-                     value_mask);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                         _mm512_cvtepi32_epi8(v));
-      }
-      BitUnpackScalar(src, i, n - i, w, dst + i);
-      return;
-    }
-    case 2: {
-      auto* dst = static_cast<uint16_t*>(out);
-      for (; i + 16 <= n; i += 16) {
-        const __m512i v =
-            Gather16(src, static_cast<uint32_t>(i) * wu, lane_bits,
-                     value_mask);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                            _mm512_cvtepi32_epi16(v));
-      }
-      BitUnpackScalar(src, i, n - i, w, dst + i);
-      return;
-    }
-    case 4: {
-      auto* dst = static_cast<uint32_t*>(out);
-      for (; i + 16 <= n; i += 16) {
-        const __m512i v =
-            Gather16(src, static_cast<uint32_t>(i) * wu, lane_bits,
-                     value_mask);
-        _mm512_storeu_si512(dst + i, v);
-      }
-      BitUnpackScalar(src, i, n - i, w, dst + i);
-      return;
-    }
-    case 8: {
-      auto* dst = static_cast<uint64_t*>(out);
-      for (; i + 16 <= n; i += 16) {
-        const __m512i v =
-            Gather16(src, static_cast<uint32_t>(i) * wu, lane_bits,
-                     value_mask);
-        const __m512i lo = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(v));
-        const __m512i hi =
-            _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(v, 1));
-        _mm512_storeu_si512(dst + i, lo);
-        _mm512_storeu_si512(dst + i + 8, hi);
-      }
-      BitUnpackScalar(src, i, n - i, w, dst + i);
-      return;
-    }
-    default:
-      BIPIE_DCHECK(false);
+  for (; i + per_vector <= n; i += per_vector, src += step, dst += 64) {
+    _mm512_storeu_si512(dst, extract(src));
+  }
+  if (i < n) {
+    const size_t tail_bytes = (n - i) * static_cast<size_t>(word_bytes);
+    _mm512_mask_storeu_epi8(dst, (uint64_t{1} << tail_bytes) - 1,
+                            extract(src));
   }
 }
 
-void UnpackScalarDispatch512(const uint8_t* src, size_t start, size_t n,
-                             int w, void* out, int word_bytes) {
-  switch (word_bytes) {
-    case 1:
-      BitUnpackScalar(src, start, n, w, static_cast<uint8_t*>(out));
-      break;
-    case 2:
-      BitUnpackScalar(src, start, n, w, static_cast<uint16_t*>(out));
-      break;
-    case 4:
-      BitUnpackScalar(src, start, n, w, static_cast<uint32_t*>(out));
-      break;
-    case 8:
-      BitUnpackScalar(src, start, n, w, static_cast<uint64_t*>(out));
-      break;
-    default:
-      BIPIE_DCHECK(false);
-  }
+void UnpackMultishift(const uint8_t* src, size_t n, int w, int word_bytes,
+                      uint8_t* dst) {
+  const VbmiTables& t =
+      word_bytes == 1 ? kMultishiftBytes[w] : kMultishiftWords[w];
+  const __m512i idx = _mm512_load_si512(t.index);
+  const __m512i ctl = _mm512_load_si512(t.shift);
+  const int m = static_cast<int>(LowBitsMask(w));
+  const __m512i mask = word_bytes == 1
+                           ? _mm512_set1_epi8(static_cast<char>(m))
+                           : _mm512_set1_epi16(static_cast<short>(m));
+  UnpackLoop(src, n, w, word_bytes, dst, [&](const uint8_t* p) {
+    const __m512i grouped =
+        _mm512_permutexvar_epi8(idx, _mm512_loadu_si512(p));
+    return _mm512_and_si512(_mm512_multishift_epi64_epi8(ctl, grouped), mask);
+  });
+}
+
+void UnpackDwords(const uint8_t* src, size_t n, int w, uint8_t* dst) {
+  const VbmiTables& t = kDwordWindows[w];
+  const __m512i idx = _mm512_load_si512(t.index);
+  const __m512i shift = _mm512_load_si512(t.shift);
+  const __m512i mask = _mm512_set1_epi32(static_cast<int>(LowBitsMask(w)));
+  UnpackLoop(src, n, w, 4, dst, [&](const uint8_t* p) {
+    const __m512i windows =
+        _mm512_permutexvar_epi8(idx, _mm512_loadu_si512(p));
+    return _mm512_and_si512(_mm512_srlv_epi32(windows, shift), mask);
+  });
+}
+
+void UnpackQwordsToDwords(const uint8_t* src, size_t n, int w, uint8_t* dst) {
+  const VbmiTables& lo_t = kQwordWindows[w];
+  const VbmiTables& hi_t = kQwordWindowsHigh[w];
+  const __m512i lo_idx = _mm512_load_si512(lo_t.index);
+  const __m512i hi_idx = _mm512_load_si512(hi_t.index);
+  const __m512i lo_shift = _mm512_load_si512(lo_t.shift);
+  const __m512i hi_shift = _mm512_load_si512(hi_t.shift);
+  const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                         20, 22, 24, 26, 28, 30);
+  const __m512i mask = _mm512_set1_epi32(static_cast<int>(LowBitsMask(w)));
+  UnpackLoop(src, n, w, 4, dst, [&](const uint8_t* p) {
+    const __m512i raw = _mm512_loadu_si512(p);
+    const __m512i lo =
+        _mm512_srlv_epi64(_mm512_permutexvar_epi8(lo_idx, raw), lo_shift);
+    const __m512i hi =
+        _mm512_srlv_epi64(_mm512_permutexvar_epi8(hi_idx, raw), hi_shift);
+    return _mm512_and_si512(_mm512_permutex2var_epi32(lo, even, hi), mask);
+  });
+}
+
+void UnpackQwords(const uint8_t* src, size_t n, int w, uint8_t* dst) {
+  const VbmiTables& t = kQwordWindows[w];
+  const __m512i idx = _mm512_load_si512(t.index);
+  const __m512i shift = _mm512_load_si512(t.shift);
+  const __m512i mask =
+      _mm512_set1_epi64(static_cast<long long>(LowBitsMask(w)));
+  UnpackLoop(src, n, w, 8, dst, [&](const uint8_t* p) {
+    const __m512i windows =
+        _mm512_permutexvar_epi8(idx, _mm512_loadu_si512(p));
+    return _mm512_and_si512(_mm512_srlv_epi64(windows, shift), mask);
+  });
 }
 
 }  // namespace
 
 void BitUnpackAvx512(const uint8_t* src, size_t start, size_t n,
                      int bit_width, void* out, int word_bytes) {
-  if (bit_width > 25) {
-    // The AVX2 tier's 64-bit gather path already saturates these widths.
-    BitUnpackAvx2(src, start, n, bit_width, out, word_bytes);
+  if (bit_width > 57) {
+    BitUnpackScalarToWord(src, start, n, bit_width, out, word_bytes);
     return;
   }
-  // Same prologue/rebase discipline as the AVX2 tier: align start to a
-  // multiple of 8 so chunk starts fall on byte boundaries, then process in
-  // offset-bounded chunks.
+  // The tables assume value 0 starts on a byte boundary, which any index
+  // divisible by 8 guarantees; a short scalar prologue aligns `start`.
   auto* dst = static_cast<uint8_t*>(out);
   size_t prologue = (8 - (start & 7)) & 7;
   if (prologue > n) prologue = n;
   if (prologue > 0) {
-    UnpackScalarDispatch512(src, start, prologue, bit_width, dst,
-                            word_bytes);
+    BitUnpackScalarToWord(src, start, prologue, bit_width, dst, word_bytes);
     start += prologue;
     n -= prologue;
     dst += prologue * word_bytes;
+    if (n == 0) return;
   }
   src += start * static_cast<uint64_t>(bit_width) / 8;
-  const size_t chunk_values =
-      ((size_t{1} << 30) / static_cast<size_t>(bit_width)) & ~size_t{7};
-  while (n > 0) {
-    const size_t m = n < chunk_values ? n : chunk_values;
-    UnpackNarrow512(src, m, bit_width, dst, word_bytes);
-    src += m * static_cast<uint64_t>(bit_width) / 8;
-    dst += m * word_bytes;
-    n -= m;
+  if (word_bytes <= 2) {
+    UnpackMultishift(src, n, bit_width, word_bytes, dst);
+  } else if (word_bytes == 4) {
+    if (bit_width <= 25) {
+      UnpackDwords(src, n, bit_width, dst);
+    } else {
+      UnpackQwordsToDwords(src, n, bit_width, dst);
+    }
+  } else {
+    UnpackQwords(src, n, bit_width, dst);
   }
 }
+
+#else  // !__AVX512VBMI__
+
+// Built without VBMI support: the AVX2 tier serves this entry point.
+void BitUnpackAvx512(const uint8_t* src, size_t start, size_t n,
+                     int bit_width, void* out, int word_bytes) {
+  BitUnpackAvx2(src, start, n, bit_width, out, word_bytes);
+}
+
+#endif  // __AVX512VBMI__
 
 }  // namespace bipie::internal

@@ -1,9 +1,8 @@
 // AVX-512 VBMI tier of the run-span SUM kernel.
 //
-// The generic unpack tier extracts 16 values per iteration through a dword
-// gather (~0.5 cycles/value of port pressure); a horizontal sum never needs
-// the values in row order, so this tier replaces the gather with byte
-// shuffles over one 64-byte load and accumulates in registers:
+// Uses the same VPERMB tables as the unpack kernels (bitpack_avx512.cc), but
+// a horizontal sum never needs the values as words in row order, so this
+// tier accumulates straight from the shuffled registers:
 //
 //   w <= 8:  VPERMB groups each 8-value w-byte window into a qword, then
 //            VPMULTISHIFTQB extracts all 8 values of every qword at once
@@ -15,14 +14,14 @@
 //            lanes accumulate and flush to u64 every 64 iterations, which
 //            cannot overflow (64 * (2^25 - 1) < 2^31).
 //
-// VBMI (VPERMB/VPMULTISHIFTQB) is not part of the toolbox's kAvx512 tier
-// contract (F+DQ+BW+VL), so availability is probed separately at runtime.
+// The dispatcher enters this tier only when VbmiEnabled() (common/cpu).
 #include <immintrin.h>
 
 #include <algorithm>
 
 #include "common/macros.h"
 #include "encoding/bitpack.h"
+#include "encoding/vbmi_tables.h"
 #include "vector/run_agg.h"
 
 namespace bipie::internal {
@@ -40,18 +39,9 @@ uint64_t SumScalarTail(const uint8_t* src, size_t start, size_t n, int w) {
 // src points at the byte of value 0 (caller pre-aligned the range so value
 // 0 starts on a byte boundary). Widths 1..8.
 uint64_t SumNarrowVbmi(const uint8_t* src, size_t n, int w) {
-  alignas(64) uint8_t perm_idx[64];
-  alignas(64) uint8_t shift_ctl[64];
-  for (int q = 0; q < 8; ++q) {
-    for (int j = 0; j < 8; ++j) {
-      // Qword q holds values [8q, 8q + 8) = packed bytes [q*w, q*w + w).
-      perm_idx[q * 8 + j] = static_cast<uint8_t>(q * w + j);
-      // Byte j of each qword extracts the 8 bits at offset j*w (<= 56).
-      shift_ctl[q * 8 + j] = static_cast<uint8_t>(j * w);
-    }
-  }
-  const __m512i idx = _mm512_load_si512(perm_idx);
-  const __m512i ctl = _mm512_load_si512(shift_ctl);
+  const VbmiTables& t = kMultishiftBytes[w];
+  const __m512i idx = _mm512_load_si512(t.index);
+  const __m512i ctl = _mm512_load_si512(t.shift);
   const __m512i mask =
       _mm512_set1_epi8(static_cast<char>(LowBitsMask(w) & 0xFF));
   const __m512i zero = _mm512_setzero_si512();
@@ -69,18 +59,9 @@ uint64_t SumNarrowVbmi(const uint8_t* src, size_t n, int w) {
 
 // Widths 9..25; same pre-alignment contract as SumNarrowVbmi.
 uint64_t SumMidVbmi(const uint8_t* src, size_t n, int w) {
-  alignas(64) uint8_t perm_idx[64];
-  alignas(64) uint32_t shifts[16];
-  for (int l = 0; l < 16; ++l) {
-    const int bit = l * w;
-    const int byte = bit >> 3;  // <= 46 for w <= 25: one load covers all 16
-    for (int j = 0; j < 4; ++j) {
-      perm_idx[l * 4 + j] = static_cast<uint8_t>(byte + j);
-    }
-    shifts[l] = static_cast<uint32_t>(bit & 7);
-  }
-  const __m512i idx = _mm512_load_si512(perm_idx);
-  const __m512i shift = _mm512_load_si512(shifts);
+  const VbmiTables& t = kDwordWindows[w];
+  const __m512i idx = _mm512_load_si512(t.index);
+  const __m512i shift = _mm512_load_si512(t.shift);
   const __m512i mask =
       _mm512_set1_epi32(static_cast<int>(LowBitsMask(w)));
   __m512i acc64 = _mm512_setzero_si512();
@@ -109,15 +90,6 @@ uint64_t SumMidVbmi(const uint8_t* src, size_t n, int w) {
 
 }  // namespace
 
-bool SumBitPackedAvx512Available() {
-#if defined(__AVX512VBMI__)
-  static const bool ok = __builtin_cpu_supports("avx512vbmi") > 0;
-  return ok;
-#else
-  return false;
-#endif
-}
-
 uint64_t SumBitPackedAvx512(const uint8_t* packed, size_t start, size_t n,
                             int bit_width) {
 #if defined(__AVX512VBMI__)
@@ -135,7 +107,7 @@ uint64_t SumBitPackedAvx512(const uint8_t* packed, size_t start, size_t n,
                           : SumMidVbmi(base, n, bit_width);
   return total;
 #else
-  BIPIE_DCHECK(false);  // dispatcher checks SumBitPackedAvx512Available()
+  // Built without VBMI support: still exact, just scalar.
   return SumScalarTail(packed, start, n, bit_width);
 #endif
 }

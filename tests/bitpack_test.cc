@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/bits.h"
@@ -116,6 +117,90 @@ TEST_P(BitPackRoundTrip, WidenedWords) {
   });
 }
 
+// Index of the first of n unpacked words that differs from values, or n.
+template <typename Word>
+size_t FirstMismatch(const uint8_t* out, const uint64_t* values, size_t n) {
+  const auto* words = reinterpret_cast<const Word*>(out);
+  for (size_t i = 0; i < n; ++i) {
+    if (words[i] != values[i]) return i;
+  }
+  return n;
+}
+
+size_t FirstMismatch(const uint8_t* out, int word, const uint64_t* values,
+                     size_t n) {
+  switch (word) {
+    case 1:
+      return FirstMismatch<uint8_t>(out, values, n);
+    case 2:
+      return FirstMismatch<uint16_t>(out, values, n);
+    case 4:
+      return FirstMismatch<uint32_t>(out, values, n);
+    default:
+      return FirstMismatch<uint64_t>(out, values, n);
+  }
+}
+
+// The scan's call shape: 4096-row batches, lengths around the batch size,
+// starts just past batch boundaries, every legal word. The bytes after the
+// last word must stay untouched: the SIMD tails store under a mask.
+TEST_P(BitPackRoundTrip, BatchShapes) {
+  const int w = GetParam();
+  constexpr size_t kBatch = 4096;
+  auto values = test::RandomPackedValues(2 * kBatch + 16, w, 101 * w + 3);
+  auto packed = test::Pack(values, w);
+  constexpr uint8_t kCanary = 0xA5;
+  AlignedBuffer out((kBatch + 1) * 8 + 64);
+  test::ForEachIsaTier([&](IsaTier tier) {
+    for (int word = SmallestWordBytes(w); word <= 8; word *= 2) {
+      for (size_t i = 0; i < 32; ++i) {
+        const size_t start = (i / 16) * kBatch + i % 16;
+        for (size_t n : {kBatch - 1, kBatch, kBatch + 1}) {
+          std::memset(out.data(), kCanary, out.size());
+          BitUnpackToWord(packed.data(), start, n, w, out.data(), word);
+          ASSERT_EQ(FirstMismatch(out.data(), word, &values[start], n), n)
+              << "w=" << w << " word=" << word << " start=" << start
+              << " n=" << n << " tier=" << IsaTierName(tier);
+          for (size_t b = n * word; b < n * word + 64; ++b) {
+            ASSERT_EQ(out.data()[b], kCanary)
+                << "w=" << w << " word=" << word << " n=" << n
+                << " wrote byte " << b << " tier=" << IsaTierName(tier);
+          }
+        }
+      }
+    }
+  });
+}
+
+// The packed stream ends exactly AlignedBuffer::kPaddingBytes before the
+// end of its allocation (the buffer size is a multiple of kAlignment and the
+// stream sits at its end), so sanitizer builds fail on any read past the
+// padding. Value n - 1 = 4096 starts a kernel iteration; for w <= 8 its
+// 64-byte load starts on the final packed byte.
+TEST_P(BitPackRoundTrip, EndOfStream) {
+  const int w = GetParam();
+  const size_t n = 4097;
+  auto values = test::RandomPackedValues(n, w, 17 * w + 9);
+  const auto staged = test::Pack(values, w);
+  const size_t bytes = BitPackedBytes(n, w);
+  AlignedBuffer buf(CeilDiv(bytes, AlignedBuffer::kAlignment) *
+                    AlignedBuffer::kAlignment);
+  uint8_t* packed = buf.data() + buf.size() - bytes;
+  std::memcpy(packed, staged.data(), bytes);
+  AlignedBuffer out(n * 8);
+  test::ForEachIsaTier([&](IsaTier tier) {
+    for (int word = SmallestWordBytes(w); word <= 8; word *= 2) {
+      for (size_t start : {size_t{0}, n - 65, n - 64, n - 9, n - 8, n - 1}) {
+        const size_t m = n - start;
+        BitUnpackToWord(packed, start, m, w, out.data(), word);
+        ASSERT_EQ(FirstMismatch(out.data(), word, &values[start], m), m)
+            << "w=" << w << " word=" << word << " start=" << start
+            << " tier=" << IsaTierName(tier);
+      }
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBitWidths, BitPackRoundTrip,
                          ::testing::Range(1, 65));
 
@@ -133,6 +218,14 @@ TEST(BitPackTest, MaximalValuesEveryWidth) {
       }
     });
   }
+}
+
+// ForEachIsaTier's kAvx2 pass must reach the AVX2 gathers even on VBMI
+// hardware, so the VBMI probe follows the tier override.
+TEST(BitPackTest, VbmiFollowsTierOverride) {
+  SetIsaTierForTesting(IsaTier::kAvx2);
+  EXPECT_FALSE(VbmiEnabled());
+  SetIsaTierForTesting(DetectIsaTier());
 }
 
 TEST(BitPackTest, EmptyInput) {
