@@ -28,6 +28,23 @@ void BM_BitUnpack(benchmark::State& state) {
 }
 BENCHMARK(BM_BitUnpack)->Arg(4)->Arg(7)->Arg(14)->Arg(21)->Arg(28)->Arg(40);
 
+// The encoder's side of BM_BitUnpack: packing the same values, as the
+// column builder does for every bit-packed column and dictionary id stream.
+void BM_BitPack(benchmark::State& state) {
+  const int w = static_cast<int>(state.range(0));
+  std::vector<uint64_t> values(kRows);
+  Rng rng(w);
+  for (uint64_t& v : values) v = rng.Next() & LowBitsMask(w);
+  AlignedBuffer packed(BitPackedBytes(kRows, w) + 8);
+  for (auto _ : state) {
+    BitPack(values.data(), kRows, w, packed.data());
+    benchmark::DoNotOptimize(packed.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kRows));
+}
+BENCHMARK(BM_BitPack)->Arg(4)->Arg(7)->Arg(14)->Arg(21)->Arg(28)->Arg(40);
+
 // The scan's call shape: 4096-value batches into one L1-resident buffer at
 // a chosen word, so the unpack work shows instead of the store bandwidth of
 // BM_BitUnpack's multi-megabyte output.

@@ -1,5 +1,5 @@
 // Real-time streaming analytics over a hybrid table (§2.1's full
-// architecture): inserts land in a row-oriented mutable region, a merge
+// architecture): inserts land in an uncompressed mutable region, a merge
 // compresses them into encoded immutable segments, and queries always see
 // both regions — fresh rows included, no waiting for compression.
 #include <cinttypes>

@@ -87,6 +87,12 @@ class GroupHashTable {
   std::vector<std::pair<int64_t, int64_t>> keys_;
 };
 
+// Sums are added with overflow checks, row by row and across segments, so
+// a total that does not fit int64 is reported, never wrapped.
+Status SumOverflow() {
+  return Status::OverflowRisk("int64 sum overflow during hash aggregation");
+}
+
 Result<QueryResult> ExecuteQueryHashAggImpl(const Table& table,
                                             const QuerySpec& query,
                                             QueryContext* context) {
@@ -228,10 +234,15 @@ Result<QueryResult> ExecuteQueryHashAggImpl(const Table& table,
               break;
             case AggregateSpec::Kind::kSum:
             case AggregateSpec::Kind::kAvg:
-              row[a] += col_ptrs[agg_cols[a]][i];
+              if (__builtin_add_overflow(row[a], col_ptrs[agg_cols[a]][i],
+                                         &row[a])) {
+                return SumOverflow();
+              }
               break;
             case AggregateSpec::Kind::kSumExpr:
-              row[a] += expr_out[a][i];
+              if (__builtin_add_overflow(row[a], expr_out[a][i], &row[a])) {
+                return SumOverflow();
+              }
               break;
             case AggregateSpec::Kind::kMin:
               row[a] = fresh ? col_ptrs[agg_cols[a]][i]
@@ -285,7 +296,9 @@ Result<QueryResult> ExecuteQueryHashAggImpl(const Table& table,
             row.sums[a] = fresh ? v : std::max(row.sums[a], v);
             break;
           default:
-            row.sums[a] += v;
+            if (__builtin_add_overflow(row.sums[a], v, &row.sums[a])) {
+              return SumOverflow();
+            }
             break;
         }
       }

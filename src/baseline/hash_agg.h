@@ -22,7 +22,8 @@ namespace bipie {
 // engine checks cancellation per batch, binds the context's MemoryTracker
 // around execution and accounts its hash-table growth against it, so a
 // limit breach returns kResourceExhausted — the fallback inherits the
-// specialized scan's complete-or-error contract.
+// specialized scan's complete-or-error contract. A SUM that does not fit
+// int64 returns kOverflowRisk.
 Result<QueryResult> ExecuteQueryHashAgg(const Table& table,
                                         const QuerySpec& query,
                                         QueryContext* context = nullptr);

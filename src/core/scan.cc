@@ -623,7 +623,14 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
                               : std::max(row.sums[a], c.values[a]);
             break;
           default:
-            row.sums[a] += c.values[a];
+            // Each segment's overflow proof bounds that segment's sum only;
+            // the total across segments is checked here.
+            if (__builtin_add_overflow(row.sums[a], c.values[a],
+                                       &row.sums[a])) {
+              Counters().errors.Increment();
+              return Status::OverflowRisk(
+                  "int64 sum overflow merging segment results");
+            }
             break;
         }
       }

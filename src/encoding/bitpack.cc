@@ -9,26 +9,28 @@ namespace bipie {
 void BitPack(const uint64_t* values, size_t n, int bit_width, uint8_t* dst) {
   BIPIE_DCHECK(bit_width >= 1 && bit_width <= 64);
   const uint64_t mask = LowBitsMask(bit_width);
-  std::memset(dst, 0, BitPackedBytes(n, bit_width) + 8);
+  // Values stream LSB-first through one 64-bit accumulator; each full word
+  // is stored once. `filled` (0..63) counts the accumulator's pending bits.
+  uint64_t acc = 0;
+  int filled = 0;
+  uint8_t* out = dst;
   for (size_t i = 0; i < n; ++i) {
     const uint64_t v = values[i];
     BIPIE_DCHECK((v & ~mask) == 0);
-    const uint64_t bit_off = i * static_cast<uint64_t>(bit_width);
-    uint8_t* p = dst + (bit_off >> 3);
-    const int shift = static_cast<int>(bit_off & 7);
-    if (bit_width + shift <= 64) {
-      uint64_t word;
-      __builtin_memcpy(&word, p, sizeof(word));
-      word |= v << shift;
-      __builtin_memcpy(p, &word, sizeof(word));
-    } else {
-      uint64_t lo;
-      __builtin_memcpy(&lo, p, sizeof(lo));
-      lo |= v << shift;
-      __builtin_memcpy(p, &lo, sizeof(lo));
-      p[8] = static_cast<uint8_t>(p[8] | (v >> (64 - shift)));
+    acc |= v << filled;
+    filled += bit_width;
+    if (filled >= 64) {
+      __builtin_memcpy(out, &acc, sizeof(acc));
+      out += sizeof(acc);
+      filled -= 64;
+      // The bits of v that did not fit; none when v ended the word exactly.
+      acc = filled == 0 ? 0 : v >> (bit_width - filled);
     }
   }
+  // The partial word (its unused high bits are zero), then zeros up to the
+  // 8 padding bytes past BitPackedBytes(n, bit_width).
+  __builtin_memcpy(out, &acc, sizeof(acc));
+  std::memset(out + sizeof(acc), 0, static_cast<size_t>(filled + 7) / 8);
 }
 
 void BitUnpack(const uint8_t* src, size_t start, size_t n, int bit_width,

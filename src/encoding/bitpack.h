@@ -29,7 +29,8 @@ inline size_t BitPackedBytes(size_t n, int bit_width) {
 }
 
 // Packs n values into dst. Each value must fit in bit_width bits
-// (checked). dst must hold BitPackedBytes(n, bit_width) + 8 writable bytes.
+// (checked). Writes exactly BitPackedBytes(n, bit_width) + 8 bytes: the
+// packed stream followed by zeros.
 void BitPack(const uint64_t* values, size_t n, int bit_width, uint8_t* dst);
 
 // Reads the single packed value at `index`. Scalar; used by gather kernels'

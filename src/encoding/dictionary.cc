@@ -4,7 +4,7 @@ namespace bipie {
 
 uint32_t IntDictionary::GetOrInsert(int64_t value) {
   auto [it, inserted] =
-      index_.emplace(value, static_cast<uint32_t>(values_.size()));
+      index_.try_emplace(value, static_cast<uint32_t>(values_.size()));
   if (inserted) values_.push_back(value);
   return it->second;
 }
@@ -16,7 +16,7 @@ int64_t IntDictionary::Find(int64_t value) const {
 
 uint32_t StringDictionary::GetOrInsert(const std::string& value) {
   auto [it, inserted] =
-      index_.emplace(value, static_cast<uint32_t>(values_.size()));
+      index_.try_emplace(value, static_cast<uint32_t>(values_.size()));
   if (inserted) values_.push_back(value);
   return it->second;
 }

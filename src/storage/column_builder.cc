@@ -17,9 +17,9 @@ namespace {
 // costs memory).
 constexpr size_t kMaxIntDictionarySize = 1u << 16;
 
-// Candidate statistics shared by Finish() and Advise(): one pass computes
-// every per-encoding size estimate the kAuto tie-break and the advisor
-// score from.
+// Candidate statistics. kAuto and Advise() read every field; a forced
+// encoding reads only what it encodes with (see StatsNeeded), and the
+// fields it does not need keep their defaults.
 struct IntStats {
   size_t n = 0;
   int64_t min = 0;
@@ -39,7 +39,14 @@ struct IntStats {
   size_t dict_bytes = static_cast<size_t>(-1);
 };
 
-IntStats ComputeIntStats(const std::vector<int64_t>& values) {
+// How much of IntStats to compute. Bit-packed, byte-sliced, RLE and
+// dictionary columns need only min/max (the metadata every segment keeps);
+// delta adds the range of successive differences; kAuto scores every
+// candidate, including the distinct count.
+enum class StatsNeeded { kRange, kDeltaRange, kAll };
+
+IntStats ComputeIntStats(const std::vector<int64_t>& values,
+                         StatsNeeded needed = StatsNeeded::kAll) {
   IntStats st;
   st.n = values.size();
   if (st.n == 0) return st;
@@ -51,13 +58,7 @@ IntStats ComputeIntStats(const std::vector<int64_t>& values) {
       static_cast<uint64_t>(st.max) - static_cast<uint64_t>(st.min);
   st.for_bits = BitsRequired(spread);
   st.for_bytes = BitPackedBytes(st.n, st.for_bits);
-
-  st.run_count = 1;
-  for (size_t i = 1; i < st.n; ++i) {
-    st.run_count += values[i] != values[i - 1];
-    st.sorted = st.sorted && values[i] >= values[i - 1];
-  }
-  st.rle_bytes = st.run_count * sizeof(RleRun);
+  if (needed == StatsNeeded::kRange) return st;
 
   if (st.n > 1) {
     st.dmin = st.dmax = values[1] - values[0];
@@ -71,6 +72,14 @@ IntStats ComputeIntStats(const std::vector<int64_t>& values) {
                                static_cast<uint64_t>(st.dmin));
   st.delta_bytes = BitPackedBytes(st.n > 0 ? st.n - 1 : 0, st.delta_bits) +
                    (st.n / kDeltaCheckpointRows + 1) * sizeof(int64_t);
+  if (needed == StatsNeeded::kDeltaRange) return st;
+
+  st.run_count = 1;
+  for (size_t i = 1; i < st.n; ++i) {
+    st.run_count += values[i] != values[i - 1];
+    st.sorted = st.sorted && values[i] >= values[i - 1];
+  }
+  st.rle_bytes = st.run_count * sizeof(RleRun);
 
   std::unordered_set<int64_t> distinct;
   for (int64_t v : values) {
@@ -124,6 +133,11 @@ void ColumnBuilder::AppendInt64Bulk(const int64_t* values, size_t n) {
   int_values_.insert(int_values_.end(), values, values + n);
 }
 
+void ColumnBuilder::AppendStringBulk(const std::string* values, size_t n) {
+  BIPIE_DCHECK(spec_.type == ColumnType::kString);
+  str_values_.insert(str_values_.end(), values, values + n);
+}
+
 EncodedColumn ColumnBuilder::Finish() {
   EncodedColumn out = spec_.type == ColumnType::kString ? FinishString()
                                                         : FinishInt();
@@ -142,20 +156,12 @@ EncodedColumn ColumnBuilder::FinishInt() {
     col.packed_.Resize(8);
     return col;
   }
-  const IntStats st = ComputeIntStats(int_values_);
-  col.meta_.min = st.min;
-  col.meta_.max = st.max;
-  const int for_bits = st.for_bits;
-  const int delta_bits = st.delta_bits;
-  const int64_t dmin = st.dmin;
-
-  Encoding pick;
+  Encoding pick = Encoding::kBitPacked;
+  StatsNeeded needed = StatsNeeded::kRange;
   switch (spec_.encoding) {
     case EncodingChoice::kBitPacked:
-      pick = Encoding::kBitPacked;
       break;
     case EncodingChoice::kDictionary:
-      BIPIE_DCHECK(st.dict_feasible);
       pick = Encoding::kDictionary;
       break;
     case EncodingChoice::kRle:
@@ -163,15 +169,23 @@ EncodedColumn ColumnBuilder::FinishInt() {
       break;
     case EncodingChoice::kDelta:
       pick = Encoding::kDelta;
+      needed = StatsNeeded::kDeltaRange;
       break;
     case EncodingChoice::kByteSliced:
       pick = Encoding::kByteSliced;
       break;
     case EncodingChoice::kAuto:
     default:
-      pick = AutoPick(st);
+      needed = StatsNeeded::kAll;
       break;
   }
+  const IntStats st = ComputeIntStats(int_values_, needed);
+  if (needed == StatsNeeded::kAll) pick = AutoPick(st);
+  col.meta_.min = st.min;
+  col.meta_.max = st.max;
+  const int for_bits = st.for_bits;
+  const int delta_bits = st.delta_bits;
+  const int64_t dmin = st.dmin;
 
   switch (pick) {
     case Encoding::kBitPacked: {
@@ -192,6 +206,7 @@ EncodedColumn ColumnBuilder::FinishInt() {
       auto dict = std::make_shared<IntDictionary>();
       std::vector<uint64_t> ids(n);
       for (size_t i = 0; i < n; ++i) ids[i] = dict->GetOrInsert(int_values_[i]);
+      BIPIE_DCHECK(dict->size() <= kMaxIntDictionarySize);
       col.bit_width_ = BitsRequired(dict->size() - 1);
       col.int_dict_ = std::move(dict);
       col.packed_.Resize(BitPackedBytes(n, col.bit_width_) + 8);

@@ -55,6 +55,7 @@ class ColumnBuilder {
   void AppendString(const std::string& value);
 
   void AppendInt64Bulk(const int64_t* values, size_t n);
+  void AppendStringBulk(const std::string* values, size_t n);
 
   size_t num_rows() const {
     return spec_.type == ColumnType::kString ? str_values_.size()

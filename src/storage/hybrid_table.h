@@ -1,10 +1,12 @@
-// The full §2.1 storage architecture: a mutable, row-oriented,
-// uncompressed region in front of the immutable encoded columnstore.
+// The full §2.1 storage architecture: a mutable, uncompressed region in
+// front of the immutable encoded columnstore.
 //
 // "The mutable region represents a small fraction of rows, recently added
 // or modified. It is compressed into the immutable region by a background
 // task." Here the merge is an explicit (or threshold-triggered) call —
 // deterministic where MemSQL's is asynchronous, which keeps tests exact.
+// The region is an append buffer with one plain value vector per column;
+// rows are encoded into segments only by Merge().
 //
 // Queries against a HybridTable run BIPie over the immutable segments and
 // a row-at-a-time evaluator over the (small) mutable region, merging the
@@ -40,7 +42,7 @@ class HybridTable {
   void Insert(const std::vector<int64_t>& ints,
               const std::vector<std::string>& strings = {});
 
-  size_t mutable_rows() const { return pending_ints_.size(); }
+  size_t mutable_rows() const { return mutable_rows_; }
   size_t num_rows() const {
     return immutable_.num_rows() + mutable_rows();
   }
@@ -61,12 +63,16 @@ class HybridTable {
   Table immutable_;
   size_t segment_rows_;
   size_t merge_threshold_;
-  // Row-oriented mutable region (column-of-rows for ints, plus strings).
-  std::vector<std::vector<int64_t>> pending_ints_;
-  std::vector<std::vector<std::string>> pending_strings_;
+  // The mutable region, by column: int column c holds its values in
+  // region_ints_[c], string column c in region_strings_[c]; the vector of
+  // the other type stays empty.
+  size_t mutable_rows_ = 0;
+  std::vector<std::vector<int64_t>> region_ints_;
+  std::vector<std::vector<std::string>> region_strings_;
 };
 
-// Executes the BIPie workload shape over immutable + mutable regions.
+// Executes the BIPie workload shape over immutable + mutable regions. A SUM
+// that does not fit int64 returns kOverflowRisk.
 Result<QueryResult> ExecuteQueryHybrid(const HybridTable& table,
                                        const QuerySpec& query,
                                        ScanOptions options = {});

@@ -57,15 +57,22 @@ void TableAppender::AppendRow(const std::vector<int64_t>& ints,
   if (++pending_rows_ == segment_rows_) CutSegment();
 }
 
-void TableAppender::AppendInt64Chunk(
-    const std::vector<const int64_t*>& columns, size_t n) {
-  BIPIE_DCHECK(columns.size() == table_->num_columns());
+void TableAppender::AppendChunk(const std::vector<ColumnChunk>& columns,
+                                size_t n) {
+  const Schema& schema = table_->schema();
+  BIPIE_DCHECK(columns.size() == schema.size());
   size_t offset = 0;
   while (n > 0) {
     const size_t room = segment_rows_ - pending_rows_;
     const size_t take = std::min(room, n);
     for (size_t c = 0; c < columns.size(); ++c) {
-      builders_[c].AppendInt64Bulk(columns[c] + offset, take);
+      if (schema[c].type == ColumnType::kString) {
+        BIPIE_DCHECK(columns[c].strings != nullptr);
+        builders_[c].AppendStringBulk(columns[c].strings + offset, take);
+      } else {
+        BIPIE_DCHECK(columns[c].ints != nullptr);
+        builders_[c].AppendInt64Bulk(columns[c].ints + offset, take);
+      }
     }
     pending_rows_ += take;
     offset += take;

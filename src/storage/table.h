@@ -1,9 +1,9 @@
 // A columnstore table: a schema plus a list of immutable segments.
 //
 // This models the immutable region of the MemSQL columnstore index that
-// BIPie scans (§2.1). The mutable rowstore region and the background merger
-// are out of scope per the paper; TableAppender plays the role of the
-// compression step that turns incoming rows into encoded segments.
+// BIPie scans (§2.1). TableAppender is the compression step that turns
+// incoming rows into encoded segments; HybridTable (storage/hybrid_table.h)
+// puts the mutable region and its merge in front of it.
 #ifndef BIPIE_STORAGE_TABLE_H_
 #define BIPIE_STORAGE_TABLE_H_
 
@@ -65,6 +65,17 @@ class Table {
   std::vector<std::unique_ptr<Segment>> segments_;
 };
 
+// One column of a columnar chunk for TableAppender::AppendChunk: int64
+// values for an int column, strings for a string column. Implicit, so a
+// chunk is written {ints.data(), names.data()}.
+struct ColumnChunk {
+  ColumnChunk(const int64_t* values) : ints(values) {}
+  ColumnChunk(const std::string* values) : strings(values) {}
+
+  const int64_t* ints = nullptr;
+  const std::string* strings = nullptr;
+};
+
 // Streams rows (or columnar chunks) into a table, cutting a new encoded
 // segment every `segment_rows` rows.
 class TableAppender {
@@ -77,8 +88,9 @@ class TableAppender {
   void AppendRow(const std::vector<int64_t>& ints,
                  const std::vector<std::string>& strings = {});
 
-  // Columnar bulk append of `n` rows for an all-int64 schema.
-  void AppendInt64Chunk(const std::vector<const int64_t*>& columns, size_t n);
+  // Columnar bulk append of `n` rows: one chunk per schema column, of the
+  // column's type.
+  void AppendChunk(const std::vector<ColumnChunk>& columns, size_t n);
 
   size_t pending_rows() const { return pending_rows_; }
 

@@ -262,5 +262,38 @@ TEST(BitPackTest, AdjacentValuesDoNotBleed) {
   }
 }
 
+// Bit-by-bit reference packer: bit j of value i lands at stream bit
+// i * w + j, LSB-first within each byte; the 8 padding bytes stay zero.
+std::vector<uint8_t> ReferencePack(const std::vector<uint64_t>& values,
+                                   int w) {
+  std::vector<uint8_t> out(BitPackedBytes(values.size(), w) + 8, 0);
+  for (size_t i = 0; i < values.size(); ++i) {
+    for (int j = 0; j < w; ++j) {
+      if ((values[i] >> j) & 1) {
+        const uint64_t bit = i * static_cast<uint64_t>(w) + j;
+        out[bit / 8] = static_cast<uint8_t>(out[bit / 8] | (1u << (bit % 8)));
+      }
+    }
+  }
+  return out;
+}
+
+// BitPack writes exactly the reference's bytes, padding zeros included,
+// into a destination it may not assume zeroed, and nothing past them.
+TEST(BitPackTest, OutputBytesMatchReferencePacker) {
+  constexpr uint8_t kCanary = 0xA5;
+  for (int w = 1; w <= 64; ++w) {
+    for (const size_t n : {0, 1, 63, 64, 65, 4097}) {
+      const auto values = test::RandomPackedValues(n, w, 64 * n + w);
+      const std::vector<uint8_t> expected = ReferencePack(values, w);
+      std::vector<uint8_t> got(expected.size() + 1, kCanary);
+      BitPack(values.data(), n, w, got.data());
+      ASSERT_EQ(got.back(), kCanary) << "w=" << w << " n=" << n;
+      got.pop_back();
+      ASSERT_EQ(got, expected) << "w=" << w << " n=" << n;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bipie

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "baseline/hash_agg.h"
 #include "baseline/scalar_engine.h"
 #include "common/random.h"
 
@@ -71,7 +75,7 @@ TEST(HybridTableTest, StraddlingQueryMergesBothRegions) {
   table.set_merge_threshold(1 << 20);
   InsertRandomRows(&table, 5000, 3);
   table.Merge();                      // first 5000 rows immutable
-  InsertRandomRows(&table, 777, 4);   // fresh rows in the rowstore
+  InsertRandomRows(&table, 777, 4);   // fresh rows in the mutable region
   EXPECT_EQ(table.mutable_rows(), 777u);
 
   QuerySpec query;
@@ -140,6 +144,152 @@ TEST(HybridTableTest, EmptyRegionsAreFine) {
   EXPECT_TRUE(result.value().rows.empty());
   table.Merge();  // no-op
   EXPECT_EQ(table.num_rows(), 0u);
+}
+
+// Twelve rows of `value` in 4-row segments, `merged` of them merged into
+// the immutable region and the rest left in the mutable region.
+HybridTable MakeSumTable(int64_t value, int merged) {
+  HybridTable table({{"v", ColumnType::kInt64, EncodingChoice::kBitPacked}},
+                    /*segment_rows=*/4);
+  table.set_merge_threshold(1 << 20);
+  for (int i = 0; i < merged; ++i) table.Insert({value});
+  table.Merge();
+  for (int i = merged; i < 12; ++i) table.Insert({value});
+  return table;
+}
+
+QuerySpec SumQuery() {
+  QuerySpec query;
+  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("v")};
+  return query;
+}
+
+TEST(HybridTableTest, SumOverflowIsReportedNotWrapped) {
+  // 3 * 2^62 does not fit int64, whichever region holds the rows.
+  for (const int merged : {0, 6, 12}) {
+    const HybridTable table = MakeSumTable(int64_t{1} << 60, merged);
+    EXPECT_EQ(table.mutable_rows(), static_cast<size_t>(12 - merged));
+    auto got = ExecuteQueryHybrid(table, SumQuery());
+    ASSERT_FALSE(got.ok()) << merged << " merged: sum "
+                           << got.value().rows[0].sums[1];
+    EXPECT_EQ(got.status().code(), StatusCode::kOverflowRisk)
+        << merged << " merged";
+  }
+}
+
+TEST(HybridTableTest, NearLimitSumIsExact) {
+  const int64_t value = std::numeric_limits<int64_t>::max() / 12;
+  for (const int merged : {0, 6, 12}) {
+    const HybridTable table = MakeSumTable(value, merged);
+    auto got = ExecuteQueryHybrid(table, SumQuery());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got.value().rows.size(), 1u);
+    EXPECT_EQ(got.value().rows[0].count, 12u);
+    EXPECT_EQ(got.value().rows[0].sums[1], value * 12) << merged << " merged";
+  }
+}
+
+// A random query over the (s, a, b) schema below: int or string group keys,
+// int or string kEq/kLt filters, and every aggregate kind.
+QuerySpec RandomQuery(Rng* rng, const char* const* strings, int num_strings) {
+  QuerySpec query;
+  switch (rng->NextBounded(4)) {
+    case 0: break;
+    case 1: query.group_by = {"s"}; break;
+    case 2: query.group_by = {"a"}; break;
+    default: query.group_by = {"s", "a"}; break;
+  }
+  const int num_filters = static_cast<int>(rng->NextBounded(3));
+  for (int f = 0; f < num_filters; ++f) {
+    const CompareOp op = rng->NextBernoulli(0.5) ? CompareOp::kEq
+                                                 : CompareOp::kLt;
+    switch (rng->NextBounded(3)) {
+      case 0:
+        query.filters.emplace_back(
+            "s", op, std::string(strings[rng->NextBounded(num_strings)]));
+        break;
+      case 1:
+        query.filters.emplace_back("a", op, rng->NextInRange(-6, 6));
+        break;
+      default:
+        query.filters.emplace_back("b", op, rng->NextInRange(-1000, 1000));
+        break;
+    }
+  }
+  query.aggregates = {
+      AggregateSpec::Count(), AggregateSpec::Sum("b"), AggregateSpec::Avg("a"),
+      AggregateSpec::Min("b"), AggregateSpec::Max("a"),
+      AggregateSpec::SumExpr(Expr::Add(Expr::Mul(Expr::Column(1),
+                                                 Expr::Column(2)),
+                                       Expr::Constant(3)))};
+  return query;
+}
+
+// Differential test against an independent oracle: after every random step
+// (insert a batch, merge, change the merge threshold), the hybrid answer
+// must equal the hash engine's answer over a Table holding the same rows,
+// appended row by row.
+TEST(HybridTableTest, RandomStepsMatchHashOracle) {
+  const Schema schema = {{"s", ColumnType::kString},
+                         {"a", ColumnType::kInt64},
+                         {"b", ColumnType::kInt64}};
+  const char* const kStrings[] = {"", "ant", "bee", "cat", "cow", "dog"};
+  constexpr int kNumStrings = 6;
+  for (const uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    Rng rng(seed);
+    const size_t segment_rows = 1 + rng.NextBounded(40);
+    HybridTable hybrid(schema, segment_rows);
+    hybrid.set_merge_threshold(1 + rng.NextBounded(3 * segment_rows));
+    std::vector<std::vector<int64_t>> rows;
+    std::vector<std::string> row_strings;
+    for (int step = 0; step < 40; ++step) {
+      const uint64_t action = rng.NextBounded(10);
+      if (action == 0) {
+        hybrid.Merge();
+      } else if (action == 1) {
+        hybrid.set_merge_threshold(rng.NextBernoulli(0.3)
+                                       ? size_t{1} << 20
+                                       : 1 + rng.NextBounded(3 * segment_rows));
+      } else {
+        const size_t n = rng.NextBounded(2 * segment_rows + 2);
+        for (size_t i = 0; i < n; ++i) {
+          rows.push_back({0, rng.NextInRange(-6, 6),
+                          rng.NextInRange(-1000, 1000)});
+          row_strings.push_back(kStrings[rng.NextBounded(kNumStrings)]);
+          hybrid.Insert(rows.back(), {row_strings.back(), "", ""});
+        }
+      }
+      ASSERT_EQ(hybrid.num_rows(), rows.size());
+
+      Table oracle_table(schema);
+      TableAppender appender(&oracle_table, segment_rows);
+      for (size_t r = 0; r < rows.size(); ++r) {
+        appender.AppendRow(rows[r], {row_strings[r], "", ""});
+      }
+      appender.Flush();
+
+      for (int q = 0; q < 4; ++q) {
+        const QuerySpec query = RandomQuery(&rng, kStrings, kNumStrings);
+        const std::string where = "seed " + std::to_string(seed) + " step " +
+                                  std::to_string(step) + " query " +
+                                  std::to_string(q);
+        auto expected = ExecuteQueryHashAgg(oracle_table, query);
+        ASSERT_TRUE(expected.ok()) << where << ": "
+                                   << expected.status().ToString();
+        auto got = ExecuteQueryHybrid(hybrid, query);
+        ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+        ASSERT_EQ(got.value().rows.size(), expected.value().rows.size())
+            << where;
+        for (size_t r = 0; r < got.value().rows.size(); ++r) {
+          const ResultRow& g = got.value().rows[r];
+          const ResultRow& e = expected.value().rows[r];
+          ASSERT_EQ(g.group, e.group) << where << " row " << r;
+          ASSERT_EQ(g.count, e.count) << where << " row " << r;
+          ASSERT_EQ(g.sums, e.sums) << where << " row " << r;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -299,6 +300,55 @@ TEST(ScanTest, ActualOverflowIsReportedNotWrapped) {
   auto got = test::ExecuteChecked(table, query);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kOverflowRisk);
+}
+
+// Twelve rows of `value` in 4-row segments. Each segment's overflow proof
+// bounds that segment's sum only; the total is added across segments.
+Table MakeCrossSegmentSumTable(int64_t value) {
+  Table table({{"v", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  TableAppender app(&table, 4);
+  for (int i = 0; i < 12; ++i) app.AppendRow({value});
+  app.Flush();
+  return table;
+}
+
+TEST(ScanTest, CrossSegmentSumOverflowIsReportedNotWrapped) {
+  // Every segment sums to 2^62, which fits; the total 3 * 2^62 does not.
+  const Table table = MakeCrossSegmentSumTable(int64_t{1} << 60);
+  QuerySpec query;
+  query.aggregates = {AggregateSpec::Sum("v")};
+  for (const size_t threads : {0, 1, 4}) {
+    ScanOptions options;
+    options.num_threads = threads;
+    auto got = test::ExecuteChecked(table, query, options);
+    ASSERT_FALSE(got.ok()) << "num_threads=" << threads << ": sum "
+                           << got.value().rows[0].sums[0];
+    EXPECT_EQ(got.status().code(), StatusCode::kOverflowRisk)
+        << "num_threads=" << threads;
+  }
+  auto hashed = ExecuteQueryHashAgg(table, query);
+  ASSERT_FALSE(hashed.ok());
+  EXPECT_EQ(hashed.status().code(), StatusCode::kOverflowRisk);
+}
+
+TEST(ScanTest, NearLimitCrossSegmentSumIsExact) {
+  // The largest value twelve of which still fit int64.
+  const int64_t value = std::numeric_limits<int64_t>::max() / 12;
+  const Table table = MakeCrossSegmentSumTable(value);
+  QuerySpec query;
+  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("v")};
+  for (const size_t threads : {0, 1, 4}) {
+    ScanOptions options;
+    options.num_threads = threads;
+    auto got = test::ExecuteChecked(table, query, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got.value().rows.size(), 1u);
+    EXPECT_EQ(got.value().rows[0].sums[1], value * 12)
+        << "num_threads=" << threads;
+  }
+  auto hashed = ExecuteQueryHashAgg(table, query);
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  EXPECT_EQ(hashed.value().rows[0].sums[1], value * 12);
 }
 
 TEST(ScanTest, DeltaEncodedAggregateAndFilterColumns) {

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "storage/batch.h"
+#include "storage/hybrid_table.h"
 #include "storage/segment.h"
 #include "storage/table.h"
+#include "storage/table_io.h"
 
 namespace bipie {
 namespace {
@@ -60,7 +66,7 @@ TEST(TableTest, ChunkAppendMatchesRowAppend) {
   }
   Table chunked({{"g"}, {"x"}});
   TableAppender app(&chunked, 256);
-  app.AppendInt64Chunk({g.data(), x.data()}, g.size());
+  app.AppendChunk({g.data(), x.data()}, g.size());
   app.Flush();
   EXPECT_EQ(chunked.num_rows(), 700u);
   EXPECT_EQ(chunked.num_segments(), 3u);  // 256 + 256 + 188
@@ -74,6 +80,78 @@ TEST(TableTest, ChunkAppendMatchesRowAppend) {
       ASSERT_EQ(got[i], x[row]);
     }
   }
+}
+
+std::string SavedBytes(const Table& table, const std::string& name) {
+  const std::string path = std::string(::testing::TempDir()) + "/" + name;
+  const Status st = SaveTable(table, path);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The mutable region's merge encodes exactly what row-by-row appends do:
+// same segments, encodings, dictionaries and bytes on disk.
+TEST(TableTest, MergedHybridRowsSaveLikeAppendedRows) {
+  const Schema schema = {
+      {"name", ColumnType::kString},
+      {"auto_dict", ColumnType::kInt64},
+      {"auto_rle", ColumnType::kInt64},
+      {"auto_delta", ColumnType::kInt64},
+      {"auto_packed", ColumnType::kInt64},
+      {"packed", ColumnType::kInt64, EncodingChoice::kBitPacked},
+      {"dict", ColumnType::kInt64, EncodingChoice::kDictionary},
+      {"rle", ColumnType::kInt64, EncodingChoice::kRle},
+      {"delta", ColumnType::kInt64, EncodingChoice::kDelta},
+      {"sliced", ColumnType::kInt64, EncodingChoice::kByteSliced},
+      {"tag", ColumnType::kString},
+  };
+  const char* const names[] = {"alpha", "beta", "", "a much longer name"};
+  constexpr size_t kSegmentRows = 1000;
+  HybridTable hybrid(schema, kSegmentRows);
+  hybrid.set_merge_threshold(1 << 20);
+  Table appended(schema);
+  TableAppender appender(&appended, kSegmentRows);
+  Rng rng(17);
+  for (size_t i = 0; i < 2500; ++i) {
+    const int64_t row = static_cast<int64_t>(i);
+    const std::vector<int64_t> ints = {
+        0,
+        rng.NextInRange(0, 5) * 1000003,
+        row / 200,
+        row * 5 + rng.NextInRange(0, 3),
+        rng.NextInRange(-(int64_t{1} << 40), int64_t{1} << 40),
+        rng.NextInRange(-300, 300),
+        rng.NextInRange(0, 20) * 1000,
+        row / 64,
+        row * 3 + rng.NextInRange(0, 2),
+        rng.NextInRange(0, 1 << 20),
+        0};
+    std::vector<std::string> strings(schema.size());
+    strings[0] = names[rng.NextBounded(4)];
+    strings[10] = std::to_string(rng.NextBounded(50));
+    hybrid.Insert(ints, strings);
+    appender.AppendRow(ints, strings);
+    // Merges of uneven sizes, each ending in its own short segment; the
+    // appender mirrors them with a Flush.
+    if (i == 1299 || i == 1999) {
+      hybrid.Merge();
+      appender.Flush();
+    }
+  }
+  hybrid.Merge();
+  appender.Flush();
+  ASSERT_EQ(hybrid.immutable().num_segments(), 4u);  // 1000, 300, 700, 500
+  ASSERT_EQ(appended.num_segments(), 4u);
+  // kAuto reaches each of its encodings.
+  const Segment& first = hybrid.immutable().segment(0);
+  EXPECT_EQ(first.column(1).encoding(), Encoding::kDictionary);
+  EXPECT_EQ(first.column(2).encoding(), Encoding::kRle);
+  EXPECT_EQ(first.column(3).encoding(), Encoding::kDelta);
+  EXPECT_EQ(first.column(4).encoding(), Encoding::kBitPacked);
+  const std::string merged = SavedBytes(hybrid.immutable(), "merged.bipie");
+  EXPECT_GT(merged.size(), 2500u);
+  EXPECT_EQ(merged, SavedBytes(appended, "appended.bipie"));
 }
 
 TEST(SegmentTest, DeleteRowsBuildsAliveMask) {
