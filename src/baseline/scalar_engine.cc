@@ -130,11 +130,17 @@ Result<QueryResult> ExecuteQueryNaive(const Table& table,
             break;
           case AggregateSpec::Kind::kSum:
           case AggregateSpec::Kind::kAvg:
-            row.sums[a] += cols[agg_cols[a]].values[i];
+          case AggregateSpec::Kind::kSumExpr: {
+            const int64_t v =
+                query.aggregates[a].kind == AggregateSpec::Kind::kSumExpr
+                    ? expr_values[a][i]
+                    : cols[agg_cols[a]].values[i];
+            if (__builtin_add_overflow(row.sums[a], v, &row.sums[a])) {
+              return Status::OverflowRisk(
+                  "int64 sum overflow in the naive engine");
+            }
             break;
-          case AggregateSpec::Kind::kSumExpr:
-            row.sums[a] += expr_values[a][i];
-            break;
+          }
           case AggregateSpec::Kind::kMin:
             row.sums[a] = fresh ? cols[agg_cols[a]].values[i]
                                 : std::min(row.sums[a],

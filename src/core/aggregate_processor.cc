@@ -5,8 +5,6 @@
 #include <limits>
 
 #include "common/bits.h"
-#include "cost/calibration.h"
-#include "cost/cost_model.h"
 #include "encoding/bitpack.h"
 #include "encoding/byteslice.h"
 #include "vector/agg_inregister.h"
@@ -32,6 +30,8 @@ int GroupCapacity(AggregationStrategy s) {
   }
 }
 
+using AggInput = SegmentPlan::AggInput;
+
 // Rebases a packed stream to a batch window. Batch starts are multiples of
 // kBatchRows = 4096, so start * bit_width is always a whole byte count.
 const uint8_t* RebasedPacked(const EncodedColumn& col, size_t start) {
@@ -42,15 +42,13 @@ const uint8_t* RebasedPacked(const EncodedColumn& col, size_t start) {
 
 }  // namespace
 
-Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
-                                const QuerySpec& query,
-                                const StrategyOverrides& overrides) {
-  table_ = &table;
-  segment_ = &segment;
-  query_ = &query;
-  overrides_ = overrides;
-  selection_stats_ = SelectionStats{};
-  multi_agg_ready_ = false;
+Status PlanSegment(const Table& table, const Segment& segment,
+                   const QuerySpec& query, const StrategyOverrides& overrides,
+                   SegmentPlan* plan) {
+  plan->table = &table;
+  plan->segment = &segment;
+  plan->query = &query;
+  std::vector<AggInput>& inputs = plan->inputs;
 
   // --- group columns -------------------------------------------------------
   std::vector<int> group_cols;
@@ -61,12 +59,10 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
     }
     group_cols.push_back(idx);
   }
-  BIPIE_RETURN_NOT_OK(mapper_.Bind(segment, group_cols));
-  const int num_groups = mapper_.num_groups();
+  BIPIE_RETURN_NOT_OK(plan->mapper.Bind(segment, group_cols));
+  const int num_groups = plan->mapper.num_groups();
 
   // --- aggregate inputs ----------------------------------------------------
-  inputs_.clear();
-  spec_to_input_.clear();
   if (query.aggregates.empty()) {
     return Status::InvalidArgument("query needs at least one aggregate");
   }
@@ -77,7 +73,7 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
   std::vector<int> column_op_to_input(table.num_columns() * 4, -1);
   for (const AggregateSpec& spec : query.aggregates) {
     if (spec.kind == AggregateSpec::Kind::kCount) {
-      spec_to_input_.push_back(-1);
+      plan->spec_to_input.push_back(-1);
       continue;
     }
     AggInput input;
@@ -103,11 +99,11 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
       const int dedup_key =
           idx < 0 ? -1 : idx * 4 + static_cast<int>(input.op);
       if (dedup_key >= 0 && column_op_to_input[dedup_key] >= 0) {
-        spec_to_input_.push_back(column_op_to_input[dedup_key]);
+        plan->spec_to_input.push_back(column_op_to_input[dedup_key]);
         continue;
       }
       if (dedup_key >= 0) {
-        column_op_to_input[dedup_key] = static_cast<int>(inputs_.size());
+        column_op_to_input[dedup_key] = static_cast<int>(inputs.size());
       }
       if (idx < 0) {
         return Status::InvalidArgument("unknown aggregate column: " +
@@ -133,8 +129,8 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
         if (col.encoding() == Encoding::kRle) input.run_column = &col;
       }
     }
-    spec_to_input_.push_back(static_cast<int>(inputs_.size()));
-    inputs_.push_back(std::move(input));
+    plan->spec_to_input.push_back(static_cast<int>(inputs.size()));
+    inputs.push_back(std::move(input));
   }
 
   // --- overflow proof from metadata (§2.1) ---------------------------------
@@ -146,7 +142,7 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
     const ColumnMeta& m = segment.column(c).meta();
     column_bounds[c] = {m.min, m.max};
   }
-  for (AggInput& input : inputs_) {
+  for (AggInput& input : inputs) {
     if (input.op != AggInput::Op::kSum) continue;  // extrema cannot overflow
     __int128 max_abs;
     if (input.is_expr) {
@@ -168,17 +164,16 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
   // --- strategy resolution --------------------------------------------------
   // MIN/MAX inputs run through their own kernels per batch; only SUM inputs
   // participate in the strategy choice and register-fit accounting.
-  sum_inputs_.clear();
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    if (inputs_[i].op == AggInput::Op::kSum) {
-      sum_inputs_.push_back(static_cast<int>(i));
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    if (inputs[i].op == AggInput::Op::kSum) {
+      plan->sum_inputs.push_back(static_cast<int>(i));
     }
   }
-  const int num_sums = static_cast<int>(sum_inputs_.size());
+  const int num_sums = static_cast<int>(plan->sum_inputs.size());
   int max_value_bits = 1;
   bool any_expr = false;
-  for (int i : sum_inputs_) {
-    const AggInput& input = inputs_[i];
+  for (int i : plan->sum_inputs) {
+    const AggInput& input = inputs[i];
     if (input.is_expr) {
       any_expr = true;
     } else {
@@ -190,8 +185,8 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
   // Multi-aggregate register fit: narrow raw inputs (<= 16 bits) take half
   // a 64-bit lane, everything else a full lane.
   int n64 = 0, n32 = 0;
-  for (int i : sum_inputs_) {
-    const AggInput& input = inputs_[i];
+  for (int i : plan->sum_inputs) {
+    const AggInput& input = inputs[i];
     if (!input.is_expr && input.bit_width <= 16) {
       ++n32;
     } else {
@@ -219,8 +214,8 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
   run_in.segment_rows = segment.num_rows();
   run_in.has_deleted_rows = segment.has_deleted_rows();
   run_in.selection_forced = overrides.selection.has_value();
-  run_in.groups_are_runs = mapper_.runs_available();
-  run_in.estimated_spans = mapper_.run_count_bound();
+  run_in.groups_are_runs = plan->mapper.runs_available();
+  run_in.estimated_spans = plan->mapper.run_count_bound();
   run_in.filters_are_runs = true;
   for (const ColumnPredicate& pred : query.filters) {
     const int idx = table.FindColumn(pred.column_name());
@@ -230,14 +225,16 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
     }
     const EncodedColumn& col = segment.column(static_cast<size_t>(idx));
     if (pred.MatchesAllRows(col)) continue;  // metadata-satisfied: free
-    if (col.encoding() != Encoding::kRle) {
+    // Run verdicts compare integer run values, so a string literal has no
+    // run representation even on an RLE column.
+    if (col.encoding() != Encoding::kRle || pred.is_string()) {
       run_in.filters_are_runs = false;
       break;
     }
     run_in.estimated_spans += col.runs().size();
   }
   run_in.aggregates_are_runs = true;
-  for (const AggInput& input : inputs_) {
+  for (const AggInput& input : inputs) {
     const bool raw_packed_sum =
         !input.is_expr && input.op == AggInput::Op::kSum;
     if (!raw_packed_sum && input.run_column == nullptr) {
@@ -267,180 +264,42 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
                                      col.meta().max));
   }
 
-  // Cost model (DESIGN.md §17): score every candidate pipeline from the
-  // same metadata under the active calibration profile. Pure arithmetic on
-  // segment statistics — decisions under the builtin profile are
-  // machine-independent. The legacy heuristics stay authoritative when the
-  // mode is kOff (and remain the hedge in kAdaptive).
-  const CostModelMode cost_mode = overrides.cost_model;
-  const bool model_active = cost_mode != CostModelMode::kOff;
-  cost::SegmentCostInputs model_in;
-  cost::SegmentCosts model_costs;
-  model_gather_crossover_ = -1.0;
-  if (model_active) {
-    const cost::CostModel model(cost::ActiveProfile());
-    model_in.rows = segment.num_rows();
-    model_in.filtered = filtered;
-    // Unified selectivity (the fix for the old inconsistency: run-based
-    // admission used a constant while byteslice admission estimated — now
-    // every path sees the same per-predicate product estimate).
-    double sel_product = 1.0;
-    double filter_decode = 0.0;
-    double filter_byteslice = 0.0;
-    bool any_byteslice_filter = false;
-    for (const ColumnPredicate& pred : query.filters) {
-      const int idx = table.FindColumn(pred.column_name());
-      if (idx < 0) continue;  // Execute reports the real error
-      const EncodedColumn& col = segment.column(static_cast<size_t>(idx));
-      if (pred.MatchesAllRows(col)) continue;  // metadata-satisfied: free
-      if (pred.EliminatesSegment(col)) {
-        sel_product = 0.0;
-        continue;
-      }
-      const double s_f = std::clamp(
-          EstimatePredicateSelectivity(pred.op(), pred.literal(),
-                                       pred.literal2(), col.meta().min,
-                                       col.meta().max),
-          0.0, 1.0);
-      sel_product *= s_f;
-      const size_t col_runs =
-          col.encoding() == Encoding::kRle ? col.runs().size() : 1;
-      // The byte-sliced fallback is assemble-then-compare: the sequential
-      // plane merge runs at bit-unpack throughput, not at the per-plane
-      // scan cost, so it is priced as a plain unpack of the same width.
-      const double decode_cost =
-          (col.encoding() == Encoding::kByteSliced
-               ? model.UnpackCyclesPerRow(col.bit_width())
-               : model.DecodeCyclesPerRow(col.encoding(), col.bit_width(),
-                                          segment.num_rows(), col_runs)) +
-          model.CompareCyclesPerRow(col.bit_width());
-      filter_decode += decode_cost;
-      if (col.encoding() == Encoding::kByteSliced) {
-        any_byteslice_filter = true;
-        filter_byteslice += model.ByteSliceFilterCyclesPerRow(
-            ByteSlicePlanes(col.bit_width()), s_f);
-      } else {
-        filter_byteslice += decode_cost;
-      }
-    }
-    model_in.selectivity = filtered ? sel_product : 1.0;
-    model_in.filter_decode_cpr = filter_decode;
-    model_in.byteslice_capable =
-        any_byteslice_filter && !overrides.byteslice.has_value();
-    model_in.filter_byteslice_cpr =
-        any_byteslice_filter ? filter_byteslice : -1.0;
-    for (int idx : group_cols) {
-      const EncodedColumn& col = segment.column(static_cast<size_t>(idx));
-      const size_t col_runs =
-          col.encoding() == Encoding::kRle ? col.runs().size() : 1;
-      model_in.group_decode_cpr += model.DecodeCyclesPerRow(
-          col.encoding(), col.bit_width(), segment.num_rows(), col_runs);
-    }
-    for (const AggInput& input : inputs_) {
-      if (input.run_column != nullptr) {
-        const size_t col_runs = input.run_column->runs().size();
-        model_in.agg_decode_cpr += model.DecodeCyclesPerRow(
-            Encoding::kRle, input.run_column->bit_width(),
-            segment.num_rows(), col_runs);
-        // Run path: RLE aggregates reduce to run-metadata arithmetic.
-        model_in.run_agg_cpr +=
-            model.profile().rle_run_cycles *
-            (segment.num_rows() == 0
-                 ? 0.0
-                 : static_cast<double>(std::max<size_t>(col_runs, 1)) /
-                       static_cast<double>(segment.num_rows()));
-      } else if (input.is_expr) {
-        model_in.agg_decode_cpr += model.profile().expr_eval_cycles;
-      } else {
-        const double unpack = model.UnpackCyclesPerRow(input.bit_width);
-        model_in.agg_decode_cpr += unpack;
-        // Run path: only surviving spans unpack their rows.
-        model_in.run_agg_cpr += model_in.selectivity * unpack;
-      }
-    }
-    model_in.num_sums = num_sums;
-    model_in.in_register_feasible =
-        groups_for_choice <= kMaxInRegisterGroups && !any_expr &&
-        max_value_bits <= 32;
-    model_in.multi_fits = multi_fits;
-    model_in.sort_feasible = num_sums >= 1;
-    model_in.checked_feasible = true;
-    model_in.run_capable = RunBasedCapable(run_in);
-    model_in.run_spans = run_in.estimated_spans;
-    model_in.special_group_available = may_use_special;
-    model_costs = model.ScoreSegment(model_in);
-  }
-
-  // Record the decision inputs (plain data only — Bind runs per morsel)
-  // before any feasibility check can reject the bind, so an explain of a
-  // forced infeasible plan still shows what drove the rejection.
-  decision_ = PlanDecision{};
-  decision_.aggregation_forced = overrides.aggregation.has_value();
-  decision_.forced_selection = overrides.selection;
-  decision_.num_groups = num_groups;
-  decision_.groups_for_choice = groups_for_choice;
-  decision_.num_sums = num_sums;
-  decision_.max_value_bits = max_value_bits;
-  decision_.expected_selectivity = expected_selectivity;
-  decision_.multi_aggregate_fits = multi_fits;
-  decision_.in_register_feasible = groups_for_choice <= kMaxInRegisterGroups &&
-                                   !any_expr && max_value_bits <= 32;
-  decision_.any_expr_input = any_expr;
-  decision_.overflow_risk = overflow_risk;
-  decision_.filtered = filtered;
-  decision_.run_inputs = run_in;
-  decision_.run_capable = RunBasedCapable(run_in);
-  decision_.run_admitted = RunBasedAdmitted(run_in);
-  decision_.byteslice_inputs = bs_in;
-  decision_.byteslice_capable = ByteSliceCapable(bs_in);
-  decision_.byteslice_admitted = overrides.byteslice.has_value()
-                                     ? *overrides.byteslice
-                                     : ByteSliceAdmitted(bs_in);
-  decision_.forced_byteslice = overrides.byteslice;
-  decision_.cost_model_mode = cost_mode;
-  if (model_active) {
-    decision_.cost_model_profile_calibrated =
-        cost::ActiveProfile().calibrated != 0;
-    decision_.model_selectivity = model_in.selectivity;
-    for (int i = 0; i < kNumAggregationStrategies; ++i) {
-      decision_.model_total_cpr[i] = model_costs.total_cpr[i];
-    }
-    for (int i = 0; i < 3; ++i) {
-      decision_.model_selection_cpr[i] = model_costs.selection_cpr[i];
-    }
-    decision_.model_gather_crossover = model_costs.gather_crossover;
-    decision_.model_filter_decode_cpr = model_in.filter_decode_cpr;
-    decision_.model_filter_byteslice_cpr = model_in.filter_byteslice_cpr;
-
-    // Byteslice admission via predicted filter cost (forced wins below).
-    if (!overrides.byteslice.has_value() && decision_.byteslice_capable) {
-      const bool heuristic_admits = ByteSliceAdmitted(bs_in);
-      bool model_admits = model_costs.use_byteslice;
-      if (cost_mode == CostModelMode::kAdaptive &&
-          model_admits != heuristic_admits) {
-        // Keep the heuristic unless the model's pick is clearly cheaper.
-        const double model_side = model_admits
-                                      ? model_in.filter_byteslice_cpr
-                                      : model_in.filter_decode_cpr;
-        const double heuristic_side = model_admits
-                                          ? model_in.filter_decode_cpr
-                                          : model_in.filter_byteslice_cpr;
-        if (!(model_side < kCostModelAdaptiveMargin * heuristic_side)) {
-          model_admits = heuristic_admits;
-        }
-      }
-      decision_.byteslice_admitted = model_admits;
-    }
-  }
+  // Record the decision inputs before any feasibility check can reject the
+  // plan, so an explain of a forced infeasible plan still shows what drove
+  // the rejection.
+  PlanDecision& decision = plan->decision;
+  decision.aggregation_forced = overrides.aggregation.has_value();
+  decision.forced_selection = overrides.selection;
+  decision.num_groups = num_groups;
+  decision.groups_for_choice = groups_for_choice;
+  decision.num_sums = num_sums;
+  decision.max_value_bits = max_value_bits;
+  decision.expected_selectivity = expected_selectivity;
+  decision.multi_aggregate_fits = multi_fits;
+  decision.in_register_feasible = groups_for_choice <= kMaxInRegisterGroups &&
+                                  !any_expr && max_value_bits <= 32;
+  decision.any_expr_input = any_expr;
+  decision.overflow_risk = overflow_risk;
+  decision.filtered = filtered;
+  decision.run_inputs = run_in;
+  decision.run_capable = RunBasedCapable(run_in);
+  decision.run_admitted = RunBasedAdmitted(run_in);
+  decision.byteslice_inputs = bs_in;
+  decision.byteslice_capable = ByteSliceCapable(bs_in);
+  decision.byteslice_admitted = overrides.byteslice.has_value()
+                                    ? *overrides.byteslice
+                                    : ByteSliceAdmitted(bs_in);
+  decision.forced_byteslice = overrides.byteslice;
 
   if (overrides.byteslice.has_value() && *overrides.byteslice &&
       !ByteSliceCapable(bs_in)) {
-    decision_.byteslice_admitted = false;
+    decision.byteslice_admitted = false;
     return Status::NotSupported(
         "byteslice kernels infeasible: no filter binds to a byte-sliced "
         "column of this segment");
   }
 
+  AggregationStrategy strategy;
   if (overflow_risk) {
     if (overrides.aggregation.has_value() &&
         *overrides.aggregation != AggregationStrategy::kCheckedScalar) {
@@ -448,75 +307,41 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
           "segment metadata cannot prove int64-safe sums; forced strategy "
           "rejected");
     }
-    agg_strategy_ = AggregationStrategy::kCheckedScalar;
+    strategy = AggregationStrategy::kCheckedScalar;
   } else if (overrides.aggregation.has_value()) {
-    agg_strategy_ = *overrides.aggregation;
-    if (agg_strategy_ == AggregationStrategy::kRunBased &&
+    strategy = *overrides.aggregation;
+    if (strategy == AggregationStrategy::kRunBased &&
         !RunBasedCapable(run_in)) {
       return Status::NotSupported(
           "run-based aggregation infeasible: requires RLE/constant group "
           "columns, run-representable filters and aggregates, no deleted "
           "rows, and no forced selection strategy");
     }
-    if (agg_strategy_ == AggregationStrategy::kInRegister &&
+    if (strategy == AggregationStrategy::kInRegister &&
         (groups_for_choice > kMaxInRegisterGroups || any_expr ||
          max_value_bits > 32)) {
       return Status::NotSupported(
           "in-register aggregation infeasible for this query/segment");
     }
-    if (agg_strategy_ == AggregationStrategy::kMultiAggregate &&
-        !multi_fits) {
+    if (strategy == AggregationStrategy::kMultiAggregate && !multi_fits) {
       return Status::NotSupported(
           "multi-aggregate row does not fit one SIMD register");
     }
-    if (agg_strategy_ == AggregationStrategy::kSortBased && num_sums == 0) {
+    if (strategy == AggregationStrategy::kSortBased && num_sums == 0) {
       return Status::NotSupported("sort-based strategy needs >= 1 sum");
     }
-  } else if (model_active) {
-    // What the legacy constants would have picked — the kOff decision, and
-    // the kAdaptive hedge the model must clearly beat.
-    const AggregationStrategy heuristic =
-        RunBasedAdmitted(run_in)
-            ? AggregationStrategy::kRunBased
-            : ChooseAggregationStrategy(groups_for_choice, num_sums,
-                                        max_value_bits, expected_selectivity,
-                                        multi_fits);
-    AggregationStrategy pick = model_costs.chosen;
-    if (cost_mode == CostModelMode::kAdaptive && pick != heuristic) {
-      const double pick_cpr =
-          model_costs.total_cpr[static_cast<int>(pick)];
-      const double heuristic_cpr =
-          model_costs.total_cpr[static_cast<int>(heuristic)];
-      if (heuristic_cpr >= 0.0 &&
-          !(pick_cpr < kCostModelAdaptiveMargin * heuristic_cpr)) {
-        pick = heuristic;
-      }
-    }
-    agg_strategy_ = pick;
-    decision_.cost_model_overrode = pick != heuristic;
-    // run_admitted reports the decision actually taken for this segment.
-    decision_.run_admitted =
-        agg_strategy_ == AggregationStrategy::kRunBased;
-    if (cost_mode == CostModelMode::kOn) {
-      // The per-batch selection crossover comes from the model too;
-      // kAdaptive keeps the Figure-7 heuristic (conservative hedge).
-      model_gather_crossover_ = model_costs.gather_crossover;
-    }
   } else if (RunBasedAdmitted(run_in)) {
-    agg_strategy_ = AggregationStrategy::kRunBased;
+    strategy = AggregationStrategy::kRunBased;
   } else {
-    agg_strategy_ = ChooseAggregationStrategy(
-        groups_for_choice, num_sums, max_value_bits, expected_selectivity,
-        multi_fits);
+    strategy = ChooseAggregationStrategy(groups_for_choice, num_sums,
+                                         max_value_bits, expected_selectivity,
+                                         multi_fits);
   }
 
-  special_group_available_ =
-      may_use_special && num_groups + 1 <= GroupCapacity(agg_strategy_);
-
   // --- per-strategy input decode widths -------------------------------------
-  const bool scalar_like = agg_strategy_ == AggregationStrategy::kScalar ||
-                           agg_strategy_ == AggregationStrategy::kCheckedScalar;
-  for (AggInput& input : inputs_) {
+  const bool scalar_like = strategy == AggregationStrategy::kScalar ||
+                           strategy == AggregationStrategy::kCheckedScalar;
+  for (AggInput& input : inputs) {
     const bool wide_minmax = input.op != AggInput::Op::kSum &&
                              !input.is_expr && input.bit_width > 32;
     if ((scalar_like || wide_minmax) && !input.is_expr) {
@@ -541,7 +366,7 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
       input.word_bytes = SmallestWordBytes(input.bit_width);
       continue;
     }
-    switch (agg_strategy_) {
+    switch (strategy) {
       case AggregationStrategy::kInRegister:
         input.word_bytes = input.bit_width <= 8    ? 1
                            : input.bit_width <= 15 ? 2
@@ -558,35 +383,66 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
 
   // The gather/compact crossover depends on the widest stream selection
   // must materialize.
-  max_materialized_bits_ = 1;
+  int max_materialized_bits = 1;
   for (int idx : group_cols) {
-    max_materialized_bits_ = std::max(
-        max_materialized_bits_, segment.column(idx).bit_width());
+    max_materialized_bits =
+        std::max(max_materialized_bits, segment.column(idx).bit_width());
   }
-  for (const AggInput& input : inputs_) {
+  for (const AggInput& input : inputs) {
     if (!input.is_expr) {
-      max_materialized_bits_ =
-          std::max(max_materialized_bits_, input.bit_width);
+      max_materialized_bits = std::max(max_materialized_bits, input.bit_width);
     } else if (input.expr != nullptr) {
       std::vector<int> cols;
       input.expr->CollectColumns(&cols);
       for (int c : cols) {
-        max_materialized_bits_ = std::max(
-            max_materialized_bits_, segment.column(c).bit_width());
+        max_materialized_bits =
+            std::max(max_materialized_bits, segment.column(c).bit_width());
       }
     }
   }
 
-  decision_.aggregation = agg_strategy_;
-  decision_.special_group_available = special_group_available_;
-  decision_.max_materialized_bits = max_materialized_bits_;
+  decision.aggregation = strategy;
+  decision.special_group_available =
+      may_use_special && num_groups + 1 <= GroupCapacity(strategy);
+  decision.max_materialized_bits = max_materialized_bits;
+
+  // String columns evaluate through dictionary verdicts, which have no
+  // range form; rejecting here (rather than in the first batch) keeps the
+  // explained plan and the executed one on the same hash fallback.
+  for (const ColumnPredicate& pred : query.filters) {
+    const int idx = table.FindColumn(pred.column_name());
+    if (pred.op() == CompareOp::kBetween && idx >= 0 &&
+        table.schema()[idx].type == ColumnType::kString) {
+      return Status::NotSupported(
+          "BETWEEN on string columns is not supported");
+    }
+  }
+  return Status::OK();
+}
+
+Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
+                                const QuerySpec& query,
+                                const StrategyOverrides& overrides) {
+  owned_plan_ = std::make_unique<SegmentPlan>();
+  plan_ = owned_plan_.get();
+  BIPIE_RETURN_NOT_OK(
+      PlanSegment(table, segment, query, overrides, owned_plan_.get()));
+  return Attach(*owned_plan_);
+}
+
+Status AggregateProcessor::Attach(const SegmentPlan& plan) {
+  plan_ = &plan;
+  selection_stats_ = SelectionStats{};
+  multi_agg_ready_ = false;
 
   // --- accumulators & engines -----------------------------------------------
-  counts_.assign(static_cast<size_t>(num_groups) + 1, 0);
-  sums_.assign(inputs_.size() * (static_cast<size_t>(num_groups) + 1), 0);
-  minmax_.assign(inputs_.size() * (static_cast<size_t>(num_groups) + 1), 0);
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    const AggInput& input = inputs_[i];
+  const size_t num_inputs = plan.inputs.size();
+  const size_t stride = static_cast<size_t>(plan.mapper.num_groups()) + 1;
+  counts_.assign(stride, 0);
+  sums_.assign(num_inputs * stride, 0);
+  minmax_.assign(num_inputs * stride, 0);
+  for (size_t i = 0; i < num_inputs; ++i) {
+    const AggInput& input = plan.inputs[i];
     if (input.op == AggInput::Op::kSum) continue;
     uint64_t sentinel;
     if (input.is_expr) {
@@ -598,24 +454,23 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
     } else {
       sentinel = input.op == AggInput::Op::kMin ? ~uint64_t{0} : 0;
     }
-    std::fill_n(minmax_.begin() +
-                    i * (static_cast<size_t>(num_groups) + 1),
-                static_cast<size_t>(num_groups) + 1, sentinel);
+    std::fill_n(minmax_.begin() + i * stride, stride, sentinel);
   }
-  run_cursors_.assign(inputs_.size(), RunCursor{});
-  value_bufs_.resize(inputs_.size());
-  expr_out_bufs_.resize(inputs_.size());
-  expr_out_ptrs_.assign(inputs_.size(), nullptr);
-  expr_col_bufs_.resize(table.num_columns());
+  run_cursors_.assign(num_inputs, RunCursor{});
+  value_bufs_.resize(num_inputs);
+  expr_out_bufs_.resize(num_inputs);
+  expr_out_ptrs_.assign(num_inputs, nullptr);
+  expr_col_bufs_.resize(plan.table->num_columns());
   batch_seq_ = 0;
-  col_cache_tag_.assign(table.num_columns(), 0);
+  col_cache_tag_.assign(plan.table->num_columns(), 0);
 
-  if (agg_strategy_ == AggregationStrategy::kMultiAggregate) {
+  if (plan.decision.aggregation == AggregationStrategy::kMultiAggregate) {
     std::vector<MultiAggregator::ColumnDesc> descs;
-    for (int i : sum_inputs_) {
-      descs.push_back({inputs_[i].word_bytes == 4 ? 4 : 8});
+    for (int i : plan.sum_inputs) {
+      descs.push_back({plan.inputs[i].word_bytes == 4 ? 4 : 8});
     }
-    const int geff = num_groups + (special_group_available_ ? 1 : 0);
+    const int geff = plan.mapper.num_groups() +
+                     (plan.decision.special_group_available ? 1 : 0);
     BIPIE_RETURN_NOT_OK(multi_agg_.Configure(descs, geff));
     multi_agg_ready_ = true;
   }
@@ -625,28 +480,22 @@ Status AggregateProcessor::Bind(const Table& table, const Segment& segment,
 AggregateProcessor::BatchMode AggregateProcessor::PickBatchMode(
     size_t n, size_t selected, const uint8_t* sel) {
   if (sel == nullptr) return BatchMode::kFull;
-  if (overrides_.selection.has_value()) {
-    switch (*overrides_.selection) {
+  const PlanDecision& d = plan_->decision;
+  if (d.forced_selection.has_value()) {
+    switch (*d.forced_selection) {
       case SelectionStrategy::kGather:
         return BatchMode::kGather;
       case SelectionStrategy::kCompact:
         return BatchMode::kCompact;
       case SelectionStrategy::kSpecialGroup:
-        return special_group_available_ ? BatchMode::kSpecialGroup
-                                        : BatchMode::kCompact;
+        return d.special_group_available ? BatchMode::kSpecialGroup
+                                         : BatchMode::kCompact;
     }
   }
   const double selectivity =
       static_cast<double>(selected) / static_cast<double>(n);
-  if (model_gather_crossover_ >= 0.0) {
-    // cost_model=on: the crossover was bisected from calibrated
-    // throughputs at Bind; the per-batch decision stays one comparison.
-    if (selectivity <= model_gather_crossover_) return BatchMode::kGather;
-    return special_group_available_ ? BatchMode::kSpecialGroup
-                                    : BatchMode::kCompact;
-  }
-  switch (ChooseSelectionStrategy(selectivity, max_materialized_bits_,
-                                  special_group_available_)) {
+  switch (ChooseSelectionStrategy(selectivity, d.max_materialized_bits,
+                                  d.special_group_available)) {
     case SelectionStrategy::kGather:
       return BatchMode::kGather;
     case SelectionStrategy::kSpecialGroup:
@@ -662,20 +511,20 @@ void AggregateProcessor::DecodeExprColumn(int col_idx, size_t start,
   if (col_cache_tag_[col_idx] == batch_seq_) return;  // decoded this batch
   AlignedBuffer& buf = expr_col_bufs_[col_idx];
   buf.Resize(n * sizeof(int64_t));
-  segment_->column(col_idx).DecodeInt64(start, n, buf.data_as<int64_t>());
+  plan_->segment->column(col_idx).DecodeInt64(start, n, buf.data_as<int64_t>());
   col_cache_tag_[col_idx] = batch_seq_;
 }
 
 void AggregateProcessor::EvaluateExpr(size_t input_index, size_t start,
                                       size_t n) {
-  const AggInput& input = inputs_[input_index];
+  const AggInput& input = plan_->inputs[input_index];
   if (const int64_t* cached = expr_cache_.Find(input.expr.get())) {
     expr_out_ptrs_[input_index] = cached;  // identical tree this batch
     return;
   }
   std::vector<int> cols;
   input.expr->CollectColumns(&cols);
-  std::vector<const int64_t*> columns(table_->num_columns(), nullptr);
+  std::vector<const int64_t*> columns(plan_->table->num_columns(), nullptr);
   for (int c : cols) {
     DecodeExprColumn(c, start, n);
     columns[c] = expr_col_bufs_[c].data_as<int64_t>();
@@ -690,7 +539,7 @@ void AggregateProcessor::EvaluateExpr(size_t input_index, size_t start,
 size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
                                            const uint8_t* sel,
                                            BatchMode mode) {
-  const int num_groups = mapper_.num_groups();
+  const int num_groups = plan_->mapper.num_groups();
   groups_buf_.Resize(n);
   uint8_t* groups = groups_buf_.data();
 
@@ -700,9 +549,9 @@ size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
     indices_buf_.Resize((n + 8) * sizeof(uint32_t));
     m = CompactToIndexVector(sel, n, indices_buf_.data_as<uint32_t>());
     indices = indices_buf_.data_as<uint32_t>();
-    mapper_.MapSelected(start, indices, m, groups);
+    plan_->mapper.MapSelected(start, indices, m, groups, &group_scratch_);
   } else {
-    mapper_.MapBatch(start, n, groups);
+    plan_->mapper.MapBatch(start, n, groups, &group_scratch_);
     if (mode == BatchMode::kSpecialGroup) {
       ApplySpecialGroup(groups, sel, n,
                         static_cast<uint8_t>(num_groups), groups);
@@ -713,8 +562,8 @@ size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
     }
   }
 
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    const AggInput& input = inputs_[i];
+  for (size_t i = 0; i < plan_->inputs.size(); ++i) {
+    const AggInput& input = plan_->inputs[i];
     AlignedBuffer& buf = value_bufs_[i];
     if (input.is_expr) {
       switch (mode) {
@@ -733,10 +582,10 @@ size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
           }
           std::vector<int> cols;
           input.expr->CollectColumns(&cols);
-          std::vector<const int64_t*> columns(table_->num_columns(),
+          std::vector<const int64_t*> columns(plan_->table->num_columns(),
                                               nullptr);
           for (int c : cols) {
-            const EncodedColumn& col = segment_->column(c);
+            const EncodedColumn& col = plan_->segment->column(c);
             AlignedBuffer& cbuf = expr_col_bufs_[c];
             if (col_cache_tag_[c] != batch_seq_) {
               cbuf.Resize(m * sizeof(int64_t));
@@ -776,13 +625,13 @@ size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
           }
           std::vector<int> cols;
           input.expr->CollectColumns(&cols);
-          std::vector<const int64_t*> columns(table_->num_columns(),
+          std::vector<const int64_t*> columns(plan_->table->num_columns(),
                                               nullptr);
           for (int c : cols) {
             AlignedBuffer& cbuf = expr_col_bufs_[c];
             if (col_cache_tag_[c] != batch_seq_) {
               compact_scratch_.Resize(n * sizeof(int64_t));
-              segment_->column(c).DecodeInt64(
+              plan_->segment->column(c).DecodeInt64(
                   start, n, compact_scratch_.data_as<int64_t>());
               cbuf.Resize(m * sizeof(int64_t));
               CompactValues(sel, compact_scratch_.data(), n, 8, cbuf.data());
@@ -849,7 +698,7 @@ Status AggregateProcessor::ProcessBatch(size_t start, size_t n,
       ++selection_stats_.special_group;
       break;
   }
-  switch (agg_strategy_) {
+  switch (plan_->decision.aggregation) {
     case AggregationStrategy::kInRegister:
       return ProcessInRegister(start, n, sel, mode);
     case AggregationStrategy::kMultiAggregate:
@@ -871,14 +720,14 @@ Status AggregateProcessor::ProcessBatch(size_t start, size_t n,
 
 Status AggregateProcessor::ProcessRunSpan(uint8_t group, size_t start,
                                           size_t len) {
-  BIPIE_DCHECK(agg_strategy_ == AggregationStrategy::kRunBased);
+  BIPIE_DCHECK(plan_->decision.aggregation == AggregationStrategy::kRunBased);
   BIPIE_DCHECK(group < counts_.size());
   if (len == 0) return Status::OK();
   counts_[group] += len;
-  const size_t stride = static_cast<size_t>(mapper_.num_groups()) + 1;
+  const size_t stride = static_cast<size_t>(plan_->mapper.num_groups()) + 1;
   const size_t end = start + len;
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    const AggInput& input = inputs_[i];
+  for (size_t i = 0; i < plan_->inputs.size(); ++i) {
+    const AggInput& input = plan_->inputs[i];
     if (input.run_column != nullptr) {
       // RLE aggregate input: pure run-metadata arithmetic, zero decode.
       // The overflow proof bounds |value| * len by max_abs * segment_rows,
@@ -934,15 +783,15 @@ Status AggregateProcessor::ProcessRunSpan(uint8_t group, size_t start,
 Status AggregateProcessor::ProcessInRegister(size_t start, size_t n,
                                              const uint8_t* sel,
                                              BatchMode mode) {
-  const int num_groups = mapper_.num_groups();
+  const int num_groups = plan_->mapper.num_groups();
   const size_t m = BuildDenseBatch(start, n, sel, mode);
   const int geff =
       num_groups + (mode == BatchMode::kSpecialGroup ? 1 : 0);
   const uint8_t* groups = groups_buf_.data();
   InRegisterCount(groups, m, geff, counts_.data());
   const size_t stride = static_cast<size_t>(num_groups) + 1;
-  for (int i : sum_inputs_) {
-    const AggInput& input = inputs_[i];
+  for (int i : plan_->sum_inputs) {
+    const AggInput& input = plan_->inputs[i];
     auto* sums = reinterpret_cast<uint64_t*>(sums_.data() + i * stride);
     switch (input.word_bytes) {
       case 1:
@@ -967,7 +816,7 @@ Status AggregateProcessor::ProcessInRegister(size_t start, size_t n,
 Status AggregateProcessor::ProcessMultiAggregate(size_t start, size_t n,
                                                  const uint8_t* sel,
                                                  BatchMode mode) {
-  const int num_groups = mapper_.num_groups();
+  const int num_groups = plan_->mapper.num_groups();
   const size_t m = BuildDenseBatch(start, n, sel, mode);
   const int geff =
       num_groups + (mode == BatchMode::kSpecialGroup ? 1 : 0);
@@ -977,10 +826,10 @@ Status AggregateProcessor::ProcessMultiAggregate(size_t start, size_t n,
   } else {
     ScalarCountMultiArray(groups, m, geff, counts_.data());
   }
-  std::vector<const void*> ptrs(sum_inputs_.size());
-  for (size_t k = 0; k < sum_inputs_.size(); ++k) {
-    const int i = sum_inputs_[k];
-    const AggInput& input = inputs_[i];
+  std::vector<const void*> ptrs(plan_->sum_inputs.size());
+  for (size_t k = 0; k < plan_->sum_inputs.size(); ++k) {
+    const int i = plan_->sum_inputs[k];
+    const AggInput& input = plan_->inputs[i];
     ptrs[k] = input.is_expr ? static_cast<const void*>(expr_out_ptrs_[i])
                             : static_cast<const void*>(value_bufs_[i].data());
   }
@@ -992,7 +841,7 @@ Status AggregateProcessor::ProcessMultiAggregate(size_t start, size_t n,
 Status AggregateProcessor::ProcessSortBased(size_t start, size_t n,
                                             const uint8_t* sel,
                                             BatchMode mode) {
-  const int num_groups = mapper_.num_groups();
+  const int num_groups = plan_->mapper.num_groups();
   groups_buf_.Resize(n);
   uint8_t* groups = groups_buf_.data();
   int geff = num_groups;
@@ -1000,16 +849,16 @@ Status AggregateProcessor::ProcessSortBased(size_t start, size_t n,
   const uint32_t* indices = nullptr;
 
   if (mode == BatchMode::kSpecialGroup) {
-    mapper_.MapBatch(start, n, groups);
+    plan_->mapper.MapBatch(start, n, groups, &group_scratch_);
     ApplySpecialGroup(groups, sel, n, static_cast<uint8_t>(num_groups),
                       groups);
     geff = num_groups + 1;
   } else if (mode == BatchMode::kFull) {
-    mapper_.MapBatch(start, n, groups);
+    plan_->mapper.MapBatch(start, n, groups, &group_scratch_);
   } else {
     // Gather and compaction selection both reduce to sorting a selection
     // index vector (§5.2: rows are excluded before sorting).
-    mapper_.MapBatch(start, n, groups);
+    plan_->mapper.MapBatch(start, n, groups, &group_scratch_);
     indices_buf_.Resize((n + 8) * sizeof(uint32_t));
     m = CompactToIndexVector(sel, n, indices_buf_.data_as<uint32_t>());
     indices = indices_buf_.data_as<uint32_t>();
@@ -1020,8 +869,8 @@ Status AggregateProcessor::ProcessSortBased(size_t start, size_t n,
     counts_[g] += sorted_batch_.count(g);
   }
   const size_t stride = static_cast<size_t>(num_groups) + 1;
-  for (int i : sum_inputs_) {
-    const AggInput& input = inputs_[i];
+  for (int i : plan_->sum_inputs) {
+    const AggInput& input = plan_->inputs[i];
     int64_t* sums = sums_.data() + i * stride;
     if (input.is_expr) {
       EvaluateExpr(i, start, n);
@@ -1037,7 +886,7 @@ Status AggregateProcessor::ProcessSortBased(size_t start, size_t n,
 Status AggregateProcessor::ProcessScalar(size_t start, size_t n,
                                          const uint8_t* sel, BatchMode mode,
                                          bool checked) {
-  const int num_groups = mapper_.num_groups();
+  const int num_groups = plan_->mapper.num_groups();
   const size_t m = BuildDenseBatch(start, n, sel, mode);
   const int geff =
       num_groups + (mode == BatchMode::kSpecialGroup ? 1 : 0);
@@ -1045,7 +894,7 @@ Status AggregateProcessor::ProcessScalar(size_t start, size_t n,
   ScalarCountMultiArray(groups, m, geff, counts_.data());
   const size_t stride = static_cast<size_t>(num_groups) + 1;
   (void)mode;
-  for (int i : sum_inputs_) {
+  for (int i : plan_->sum_inputs) {
     const int64_t* values = expr_out_ptrs_[i];
     int64_t* sums = sums_.data() + i * stride;
     if (checked) {
@@ -1066,10 +915,10 @@ Status AggregateProcessor::ProcessScalar(size_t start, size_t n,
 void AggregateProcessor::ProcessMinMaxDense(BatchMode mode, size_t m,
                                             int geff) {
   (void)mode;
-  const size_t stride = static_cast<size_t>(mapper_.num_groups()) + 1;
+  const size_t stride = static_cast<size_t>(plan_->mapper.num_groups()) + 1;
   const uint8_t* groups = groups_buf_.data();
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    const AggInput& input = inputs_[i];
+  for (size_t i = 0; i < plan_->inputs.size(); ++i) {
+    const AggInput& input = plan_->inputs[i];
     if (input.op == AggInput::Op::kSum) continue;
     uint64_t* extrema = minmax_.data() + i * stride;
     if (input.is_expr) {
@@ -1095,10 +944,10 @@ void AggregateProcessor::ProcessMinMaxDense(BatchMode mode, size_t m,
 
 Status AggregateProcessor::ProcessMinMaxSorted(size_t start, size_t n,
                                                int geff) {
-  const size_t stride = static_cast<size_t>(mapper_.num_groups()) + 1;
+  const size_t stride = static_cast<size_t>(plan_->mapper.num_groups()) + 1;
   const uint32_t* idx = sorted_batch_.indices();
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    const AggInput& input = inputs_[i];
+  for (size_t i = 0; i < plan_->inputs.size(); ++i) {
+    const AggInput& input = plan_->inputs[i];
     if (input.op == AggInput::Op::kSum) continue;
     uint64_t* extrema = minmax_.data() + i * stride;
     if (input.is_expr) {
@@ -1140,38 +989,37 @@ Status AggregateProcessor::ProcessMinMaxSorted(size_t start, size_t n,
 }
 
 Status AggregateProcessor::Finish(SegmentResult* out) {
-  const int num_groups = mapper_.num_groups();
+  const int num_groups = plan_->mapper.num_groups();
   const size_t stride = static_cast<size_t>(num_groups) + 1;
-  if (agg_strategy_ == AggregationStrategy::kMultiAggregate &&
+  if (plan_->decision.aggregation == AggregationStrategy::kMultiAggregate &&
       multi_agg_ready_) {
     // MultiAggregator keeps sums in [group][column] layout; fold into the
     // [input][group] accumulators (special slot included when present).
     const int geff = multi_agg_.num_groups();
-    const size_t ncols = sum_inputs_.size();
+    const size_t ncols = plan_->sum_inputs.size();
     std::vector<int64_t> flat(static_cast<size_t>(geff) * ncols, 0);
     multi_agg_.Flush(flat.data());
     for (int g = 0; g < geff; ++g) {
       for (size_t k = 0; k < ncols; ++k) {
-        sums_[static_cast<size_t>(sum_inputs_[k]) * stride + g] +=
+        sums_[static_cast<size_t>(plan_->sum_inputs[k]) * stride + g] +=
             flat[g * ncols + k];
       }
     }
   }
   out->num_groups = num_groups;
-  out->mapper = &mapper_;
+  out->mapper = &plan_->mapper;
   out->counts.assign(counts_.begin(), counts_.begin() + num_groups);
-  out->values.assign(static_cast<size_t>(num_groups) *
-                         query_->aggregates.size(),
-                     0);
+  const size_t num_specs = plan_->query->aggregates.size();
+  out->values.assign(static_cast<size_t>(num_groups) * num_specs, 0);
   for (int g = 0; g < num_groups; ++g) {
     const uint64_t count = counts_[g];
-    for (size_t s = 0; s < query_->aggregates.size(); ++s) {
+    for (size_t s = 0; s < num_specs; ++s) {
       int64_t value;
-      const int input_idx = spec_to_input_[s];
+      const int input_idx = plan_->spec_to_input[s];
       if (input_idx < 0) {
         value = static_cast<int64_t>(count);
       } else {
-        const AggInput& input = inputs_[input_idx];
+        const AggInput& input = plan_->inputs[input_idx];
         if (input.op == AggInput::Op::kSum) {
           value = sums_[static_cast<size_t>(input_idx) * stride + g];
           if (input.compensate) {
@@ -1184,8 +1032,7 @@ Status AggregateProcessor::Finish(SegmentResult* out) {
           if (input.compensate) value += input.base;  // monotonic rebase
         }
       }
-      out->values[static_cast<size_t>(g) * query_->aggregates.size() + s] =
-          value;
+      out->values[static_cast<size_t>(g) * num_specs + s] = value;
     }
   }
   return Status::OK();

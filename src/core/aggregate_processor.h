@@ -5,7 +5,9 @@
 // choosing among the Vector Toolbox strategies at run time:
 //
 //  * the aggregation strategy is fixed per segment, from metadata (group
-//    count bound, aggregate count and bit widths) and the §6.2 rules;
+//    count bound, aggregate count and bit widths) and the §6.2 rules — once,
+//    by PlanSegment, into a SegmentPlan that every morsel of the segment
+//    shares read-only;
 //  * the selection strategy adapts per batch from measured selectivity.
 //
 // Raw bit-packed aggregate columns are summed in the *encoded offset
@@ -18,6 +20,7 @@
 #define BIPIE_CORE_AGGREGATE_PROCESSOR_H_
 
 #include <array>
+#include <memory>
 #include <vector>
 
 #include "common/aligned_buffer.h"
@@ -31,14 +34,66 @@
 
 namespace bipie {
 
+// Everything fixed for one segment before any row is read: the bound group
+// mapper, the aggregate inputs at their strategy-resolved word widths, and
+// the PlanDecision holding the aggregation strategy, special-group
+// availability, the gather/compact crossover width, byteslice admission and
+// every input that drove them. Metadata only — no scratch buffers. Built
+// once per scanned segment by PlanSegment; the morsels of that segment
+// share it read-only and Explain renders it (DESIGN.md §9.2, §12).
+struct SegmentPlan {
+  struct AggInput {
+    enum class Op { kSum, kMin, kMax };
+
+    Op op = Op::kSum;
+    bool is_expr = false;
+    ExprPtr expr;                         // kSumExpr
+    const EncodedColumn* column = nullptr;  // raw
+    int bit_width = 0;
+    int64_t base = 0;
+    uint64_t max_offset = 0;
+    int word_bytes = 8;    // decoded element width fed to the strategy
+    bool compensate = false;
+    // RLE aggregate columns keep a direct run-stream reference besides the
+    // expression decode path, so kRunBased can aggregate them from run
+    // metadata alone.
+    const EncodedColumn* run_column = nullptr;
+  };
+
+  const Table* table = nullptr;
+  const Segment* segment = nullptr;
+  const QuerySpec* query = nullptr;
+  GroupMapper mapper;
+  std::vector<AggInput> inputs;      // one per distinct SUM/MIN/MAX input
+  std::vector<int> spec_to_input;    // query spec index -> inputs index,
+                                     // -1 for count
+  std::vector<int> sum_inputs;       // indices of Op::kSum inputs
+  PlanDecision decision;
+};
+
+// Plans `segment` for `query` into a freshly constructed `plan`: binds the
+// group mapper, builds the aggregate input descriptors and resolves the
+// aggregation strategy and byteslice admission (respecting overrides). The
+// decision is recorded before any feasibility check can reject the plan,
+// so on failure plan->decision still shows what drove the rejection.
+Status PlanSegment(const Table& table, const Segment& segment,
+                   const QuerySpec& query, const StrategyOverrides& overrides,
+                   SegmentPlan* plan);
+
 class AggregateProcessor {
  public:
   AggregateProcessor() = default;
 
-  // Binds to one segment. Resolves the aggregation strategy (respecting
-  // overrides) and builds per-aggregate input descriptors.
+  // Plans one segment into a plan this processor owns, then attaches to
+  // it — for callers that drive a segment by hand. The scan instead plans
+  // each segment once and attaches every morsel's processor to that plan.
   Status Bind(const Table& table, const Segment& segment,
               const QuerySpec& query, const StrategyOverrides& overrides);
+
+  // Attaches to a successfully built plan, which must outlive this
+  // processor, and resets the per-morsel state: accumulators, scratch, the
+  // multi-aggregate engine, run cursors and selection stats.
+  Status Attach(const SegmentPlan& plan);
 
   // Processes rows [start, start + n) of the bound segment. `sel` is the
   // selection byte vector for the window (filter merged with liveness), or
@@ -62,22 +117,22 @@ class AggregateProcessor {
   // span contiguously and horizontal-SIMD-sum it; RLE inputs reduce to
   // run-metadata arithmetic (sum += value * overlap, zero decode);
   // count += len always. Spans must arrive in ascending start order (the
-  // RLE walk keeps an amortized-O(runs) cursor). Only valid when Bind
+  // RLE walk keeps an amortized-O(runs) cursor). Only valid when the plan
   // resolved kRunBased.
   Status ProcessRunSpan(uint8_t group, size_t start, size_t len);
 
-  // The bound group mapper — run pipeline callers pull group run spans
+  // The plan's group mapper — run pipeline callers pull group run spans
   // from it directly.
-  const GroupMapper& group_mapper() const { return mapper_; }
+  const GroupMapper& group_mapper() const { return plan_->mapper; }
 
-  AggregationStrategy aggregation_strategy() const { return agg_strategy_; }
-  int num_groups() const { return mapper_.num_groups(); }
+  AggregationStrategy aggregation_strategy() const {
+    return plan_->decision.aggregation;
+  }
+  int num_groups() const { return plan_->mapper.num_groups(); }
 
-  // Inputs and outcome of this bind's strategy resolution (DESIGN.md §12).
-  // Valid after Bind, including rejected binds: the feasibility checks fill
-  // the inputs before returning an error, so PlanExplain can show what
-  // drove a forced-plan rejection.
-  const PlanDecision& plan_decision() const { return decision_; }
+  // Inputs and outcome of the plan's strategy resolution (DESIGN.md §12).
+  // Valid after Bind, including rejected binds (see PlanSegment).
+  const PlanDecision& plan_decision() const { return plan_->decision; }
 
   // Batches processed per selection strategy (gather/compact/special/full),
   // for tests and the strategy explorer example.
@@ -91,24 +146,6 @@ class AggregateProcessor {
 
  private:
   enum class BatchMode { kFull, kGather, kCompact, kSpecialGroup };
-
-  struct AggInput {
-    enum class Op { kSum, kMin, kMax };
-
-    Op op = Op::kSum;
-    bool is_expr = false;
-    ExprPtr expr;                         // kSumExpr
-    const EncodedColumn* column = nullptr;  // raw
-    int bit_width = 0;
-    int64_t base = 0;
-    uint64_t max_offset = 0;
-    int word_bytes = 8;    // decoded element width fed to the strategy
-    bool compensate = false;
-    // RLE aggregate columns keep a direct run-stream reference besides the
-    // expression decode path, so kRunBased can aggregate them from run
-    // metadata alone.
-    const EncodedColumn* run_column = nullptr;
-  };
 
   BatchMode PickBatchMode(size_t n, size_t selected, const uint8_t* sel);
 
@@ -134,23 +171,8 @@ class AggregateProcessor {
   // expr_out_bufs_[i].
   void EvaluateExpr(size_t input_index, size_t start, size_t n);
 
-  const Table* table_ = nullptr;
-  const Segment* segment_ = nullptr;
-  const QuerySpec* query_ = nullptr;
-
-  GroupMapper mapper_;
-  AggregationStrategy agg_strategy_ = AggregationStrategy::kScalar;
-  PlanDecision decision_;
-  StrategyOverrides overrides_;
-  bool special_group_available_ = false;
-  int max_materialized_bits_ = 8;  // drives the gather/compact crossover
-  // Model-derived gather crossover for this segment (cost_model=on); < 0
-  // keeps the Figure-7 heuristic. Precomputed at Bind so PickBatchMode's
-  // per-batch cost stays one comparison.
-  double model_gather_crossover_ = -1.0;
-
-  std::vector<AggInput> inputs_;      // one per SUM-like spec
-  std::vector<int> spec_to_input_;    // query spec index -> inputs_ index, -1 for count
+  const SegmentPlan* plan_ = nullptr;
+  std::unique_ptr<SegmentPlan> owned_plan_;  // Bind's plan
 
   // MIN/MAX extrema for every dense-mode row batch; value pointers follow
   // the same expr/raw rules the scalar strategy uses.
@@ -162,7 +184,6 @@ class AggregateProcessor {
   std::vector<uint64_t> counts_;
   std::vector<int64_t> sums_;    // [input * (G + 1) + group], sum inputs
   std::vector<uint64_t> minmax_; // [input * (G + 1) + group], min/max inputs
-  std::vector<int> sum_inputs_;  // indices of Op::kSum inputs (register fit)
 
   MultiAggregator multi_agg_;
   bool multi_agg_ready_ = false;
@@ -170,6 +191,7 @@ class AggregateProcessor {
 
   // Scratch (reused across batches).
   AlignedBuffer groups_buf_;
+  AlignedBuffer group_scratch_;  // second group column's ids (GroupMapper)
   AlignedBuffer indices_buf_;
   std::vector<AlignedBuffer> value_bufs_;     // per input dense values
   std::vector<AlignedBuffer> expr_col_bufs_;  // per table column, logical i64

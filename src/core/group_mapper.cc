@@ -130,34 +130,36 @@ void GroupMapper::MaterializeIdsSelected(const BoundColumn& bound,
   (void)run_begin;
 }
 
-void GroupMapper::MapBatch(size_t start, size_t n, uint8_t* out) const {
+void GroupMapper::MapBatch(size_t start, size_t n, uint8_t* out,
+                           AlignedBuffer* scratch) const {
   if (columns_.empty()) {
     std::memset(out, 0, n);
     return;
   }
   MaterializeIds(columns_[0], start, n, out);
   if (columns_.size() == 1) return;
-  scratch_.Resize(n);
-  MaterializeIds(columns_[1], start, n, scratch_.data());
+  scratch->Resize(n);
+  MaterializeIds(columns_[1], start, n, scratch->data());
   const uint32_t card1 = columns_[1].cardinality;
-  const uint8_t* second = scratch_.data();
+  const uint8_t* second = scratch->data();
   for (size_t i = 0; i < n; ++i) {
     out[i] = static_cast<uint8_t>(out[i] * card1 + second[i]);
   }
 }
 
 void GroupMapper::MapSelected(size_t start, const uint32_t* indices,
-                              size_t n, uint8_t* out) const {
+                              size_t n, uint8_t* out,
+                              AlignedBuffer* scratch) const {
   if (columns_.empty()) {
     std::memset(out, 0, n);
     return;
   }
   MaterializeIdsSelected(columns_[0], start, indices, n, out);
   if (columns_.size() == 1) return;
-  scratch_.Resize(n);
-  MaterializeIdsSelected(columns_[1], start, indices, n, scratch_.data());
+  scratch->Resize(n);
+  MaterializeIdsSelected(columns_[1], start, indices, n, scratch->data());
   const uint32_t card1 = columns_[1].cardinality;
-  const uint8_t* second = scratch_.data();
+  const uint8_t* second = scratch->data();
   for (size_t i = 0; i < n; ++i) {
     out[i] = static_cast<uint8_t>(out[i] * card1 + second[i]);
   }

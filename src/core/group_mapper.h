@@ -45,13 +45,16 @@ class GroupMapper {
   int num_groups() const { return num_groups_; }
 
   // Produces byte group ids for rows [start, start + n). `out` needs 32
-  // bytes of write slack.
-  void MapBatch(size_t start, size_t n, uint8_t* out) const;
+  // bytes of write slack. `scratch` holds the second column's ids while two
+  // columns are combined; it is the caller's, so one bound mapper can serve
+  // several threads at once.
+  void MapBatch(size_t start, size_t n, uint8_t* out,
+                AlignedBuffer* scratch) const;
 
   // Produces group ids only for the given (ascending, batch-local) row
   // indices of the window starting at `start` — the gather-selection path.
   void MapSelected(size_t start, const uint32_t* indices, size_t n,
-                   uint8_t* out) const;
+                   uint8_t* out, AlignedBuffer* scratch) const;
 
   // Decodes local group id -> the value of group column `k`.
   GroupValue ValueOf(int group_id, int k) const;
@@ -99,7 +102,6 @@ class GroupMapper {
 
   std::vector<BoundColumn> columns_;
   int num_groups_ = 1;
-  mutable AlignedBuffer scratch_;  // second column ids during combine
   // Charge for the id_runs/rle_values vectors, which AlignedBuffer
   // accounting cannot see. Updated at Bind; Bind fails with
   // kResourceExhausted when the growth breaches the query's limit.

@@ -79,6 +79,7 @@ struct ScanCounters {
   obs::Counter& soft_limit_exceeded =
       obs::Counter::Get("scan.soft_limit_exceeded");
   obs::Counter& morsels = obs::Counter::Get("scan.morsels");
+  obs::Counter& segment_plans = obs::Counter::Get("scan.segment_plans");
   obs::Counter& segments_scanned = obs::Counter::Get("scan.segments_scanned");
   obs::Counter& segments_eliminated =
       obs::Counter::Get("scan.segments_eliminated");
@@ -125,7 +126,7 @@ Status BIPieScan::ScanMorsel(const Morsel& morsel,
                              ScanStats* stats,
                              std::vector<SegmentContribution>* out) {
   // Every allocation this morsel makes — scratch growth, processor
-  // buffers, mapper structures — is charged against the query's tracker,
+  // buffers — is charged against the query's tracker,
   // and a hard-limit breach on a throwing Resize path surfaces here as a
   // structured per-morsel kResourceExhausted. The deterministic error
   // reduction in Execute then fails the whole query: complete or error,
@@ -143,24 +144,21 @@ Status BIPieScan::ScanMorsel(const Morsel& morsel,
 
 // Scans one morsel (a batch-aligned row range of one segment) end to end:
 // filter evaluation, fused batch processing, result decode. Thread-safe with
-// respect to other morsels (only reads the table; all mutable state is local
-// or in `stats`, which is private to this morsel).
+// respect to other morsels (only reads the table and the segment plan; all
+// mutable state is local or in `stats`, which is private to this morsel).
 Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
                                  const std::vector<int>& filter_cols,
                                  ScanStats* stats,
                                  std::vector<SegmentContribution>* out) {
-  const Segment& segment = table_.segment(morsel.segment_index);
+  const PlannedSegment& planned = *morsel.planned;
+  BIPIE_RETURN_NOT_OK(planned.status);
+  const Segment& segment = table_.segment(planned.segment_index);
   QueryContext* ctx = options_.context;
   BIPIE_TRACE_SPAN_ARG("scan.morsel", "scan", "segment",
-                       morsel.segment_index);
+                       planned.segment_index);
 
   AggregateProcessor processor;
-  BIPIE_RETURN_NOT_OK(
-      processor.Bind(table_, segment, query_, options_.overrides));
-  if (morsel.counts_segment) {
-    stats->aggregation_segments[static_cast<int>(
-        processor.aggregation_strategy())]++;
-  }
+  BIPIE_RETURN_NOT_OK(processor.Attach(*planned.plan));
 
   MorselScratch& scratch = ThreadMorselScratch();
   AlignedBuffer& sel_buf = scratch.sel_buf;
@@ -196,7 +194,7 @@ Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
         uint8_t* dst = f == 0 ? sel_buf.data() : sel_tmp.data();
         BIPIE_RETURN_NOT_OK(query_.filters[f].Evaluate(
             segment.column(filter_cols[f]), view.start, view.num_rows, dst,
-            processor.plan_decision().byteslice_admitted));
+            planned.plan->decision.byteslice_admitted));
         if (f > 0) {
           AndSelection(sel_buf.data(), sel_tmp.data(), view.num_rows,
                        sel_buf.data());
@@ -271,10 +269,11 @@ Status BIPieScan::RunPipeline(const Morsel& morsel,
                               const std::vector<int>& filter_cols,
                               AggregateProcessor* processor,
                               ScanStats* stats) {
-  const Segment& segment = table_.segment(morsel.segment_index);
+  const size_t segment_index = morsel.planned->segment_index;
+  const Segment& segment = table_.segment(segment_index);
   QueryContext* ctx = options_.context;
   BIPIE_TRACE_SPAN_ARG("scan.run_pipeline", "scan", "segment",
-                       morsel.segment_index);
+                       segment_index);
   const size_t start = morsel.start_row;
   const size_t n = morsel.num_rows;
   stats->rows_scanned += n;
@@ -329,6 +328,60 @@ Status BIPieScan::RunPipeline(const Morsel& morsel,
   return Status::OK();
 }
 
+Status BIPieScan::PlanScan(ScanPlan* out) const {
+  QueryContext* const ctx = options_.context;
+  MemoryTrackerScope memory_scope(ctx != nullptr ? &ctx->memory_tracker()
+                                                 : nullptr);
+  for (const ColumnPredicate& pred : query_.filters) {
+    const int idx = table_.FindColumn(pred.column_name());
+    if (idx < 0) {
+      return Status::InvalidArgument("unknown filter column: " +
+                                     pred.column_name());
+    }
+    out->filter_cols.push_back(idx);
+  }
+  for (size_t s = 0; s < table_.num_segments(); ++s) {
+    const Segment& segment = table_.segment(s);
+    if (segment.num_rows() == 0) continue;
+    PlannedSegment planned;
+    planned.segment_index = s;
+    if (options_.enable_segment_elimination) {
+      for (size_t f = 0; f < query_.filters.size(); ++f) {
+        if (query_.filters[f].EliminatesSegment(
+                segment.column(out->filter_cols[f]))) {
+          planned.eliminated_by_filter = static_cast<int>(f);
+          break;
+        }
+      }
+    }
+    if (planned.eliminated_by_filter >= 0) {
+      ++out->segments_eliminated;
+    } else {
+      ++out->segments_scanned;
+      planned.plan = std::make_unique<SegmentPlan>();
+      planned.status = PlanSegment(table_, segment, query_,
+                                   options_.overrides, planned.plan.get());
+    }
+    out->segments.push_back(std::move(planned));
+  }
+  return Status::OK();
+}
+
+void BIPieScan::FoldFailure(const Status& st, Status* failure) {
+  if (st.ok()) return;
+  if (failure->ok() || (failure->code() == StatusCode::kNotSupported &&
+                        st.code() != StatusCode::kNotSupported)) {
+    *failure = st;
+  }
+}
+
+bool BIPieScan::FallsBackToHash(const Status& failure) const {
+  return failure.code() == StatusCode::kNotSupported &&
+         !options_.overrides.selection.has_value() &&
+         !options_.overrides.aggregation.has_value() &&
+         !options_.overrides.byteslice.has_value();
+}
+
 Result<QueryResult> BIPieScan::Execute() {
   // Belt and braces under memory pressure: morsel bodies convert their own
   // bad_alloc, so anything reaching this frame came from the untracked glue
@@ -364,41 +417,13 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
                                       options_.priority,
                                       &stats_.admission_wait_ns));
 
-  // Resolve filter column indices once.
-  std::vector<int> filter_cols;
-  for (const ColumnPredicate& pred : query_.filters) {
-    const int idx = table_.FindColumn(pred.column_name());
-    if (idx < 0) {
-      return Status::InvalidArgument("unknown filter column: " +
-                                     pred.column_name());
-    }
-    filter_cols.push_back(idx);
-  }
+  ScanPlan plan;
+  BIPIE_RETURN_NOT_OK(PlanScan(&plan));
+  const std::vector<int>& filter_cols = plan.filter_cols;
+  stats_.segments_scanned = plan.segments_scanned;
+  stats_.segments_eliminated = plan.segments_eliminated;
 
-  // Segment elimination pass builds the scan work list.
-  std::vector<size_t> work;
-  for (size_t s = 0; s < table_.num_segments(); ++s) {
-    const Segment& segment = table_.segment(s);
-    if (segment.num_rows() == 0) continue;
-    if (options_.enable_segment_elimination) {
-      bool eliminated = false;
-      for (size_t f = 0; f < query_.filters.size(); ++f) {
-        if (query_.filters[f].EliminatesSegment(
-                segment.column(filter_cols[f]))) {
-          eliminated = true;
-          break;
-        }
-      }
-      if (eliminated) {
-        ++stats_.segments_eliminated;
-        continue;
-      }
-    }
-    work.push_back(s);
-  }
-  stats_.segments_scanned = work.size();
-
-  // The work list becomes morsels. Pooled scans chunk large segments into
+  // The plans become morsels. Pooled scans chunk large segments into
   // batch-aligned ~64K-row ranges so work stealing rebalances skew; the
   // inline and legacy-spawn paths keep whole segments. Morsel order (the
   // work_index) is canonical — segment order then range order — and every
@@ -416,15 +441,19 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
       options_.morsel_rows == 0 ? kDefaultMorselRows : options_.morsel_rows;
   morsel_rows = (morsel_rows + kBatchRows - 1) / kBatchRows * kBatchRows;
   std::vector<Morsel> morsels;
-  for (const size_t s : work) {
-    const size_t rows = table_.segment(s).num_rows();
-    if (pooled) {
-      for (size_t start = 0; start < rows; start += morsel_rows) {
-        morsels.push_back({morsels.size(), s, start,
-                           std::min(morsel_rows, rows - start), start == 0});
-      }
-    } else {
-      morsels.push_back({morsels.size(), s, 0, rows, true});
+  for (const PlannedSegment& planned : plan.segments) {
+    if (planned.plan == nullptr) continue;  // eliminated
+    if (planned.status.ok()) {
+      ++stats_.aggregation_segments[static_cast<int>(
+          planned.plan->decision.aggregation)];
+    }
+    const size_t rows = table_.segment(planned.segment_index).num_rows();
+    // A failed plan needs one morsel: it ranks the planning status at the
+    // segment's first work_index.
+    const size_t step = pooled && planned.status.ok() ? morsel_rows : rows;
+    for (size_t start = 0; start < rows; start += step) {
+      morsels.push_back(
+          {morsels.size(), start, std::min(step, rows - start), &planned});
     }
   }
 
@@ -528,9 +557,6 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
     stats_.selection.compact += ms.selection.compact;
     stats_.selection.special_group += ms.selection.special_group;
     stats_.selection.unfiltered += ms.selection.unfiltered;
-    for (int a = 0; a < kNumAggregationStrategies; ++a) {
-      stats_.aggregation_segments[a] += ms.aggregation_segments[a];
-    }
   }
 
   // Bulk counter report: the work this scan actually performed, whatever
@@ -538,6 +564,7 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
   {
     ScanCounters& c = Counters();
     c.morsels.Add(morsels.size());
+    c.segment_plans.Add(plan.segments_scanned);
     c.segments_scanned.Add(stats_.segments_scanned);
     c.segments_eliminated.Add(stats_.segments_eliminated);
     c.batches.Add(stats_.batches);
@@ -554,26 +581,15 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
     return Status::Cancelled("query cancelled");
   }
 
-  // Deterministic failure choice: lowest-indexed non-kNotSupported error
-  // first, then lowest-indexed kNotSupported rejection.
+  // Deterministic failure choice over the morsels in work_index order.
   Status failure;
-  for (const Status& st : morsel_status) {
-    if (st.ok()) continue;
-    if (failure.ok() || (failure.code() == StatusCode::kNotSupported &&
-                         st.code() != StatusCode::kNotSupported)) {
-      failure = st;
-    }
-    if (failure.code() != StatusCode::kNotSupported) break;
-  }
+  for (const Status& st : morsel_status) FoldFailure(st, &failure);
 
   if (!failure.ok()) {
     // Outside the specialized envelope (e.g. >255 combined groups): degrade
     // gracefully to the generic engine — unless the caller explicitly
     // forced strategies, in which case the rejection is the answer.
-    if (failure.code() == StatusCode::kNotSupported &&
-        !options_.overrides.selection.has_value() &&
-        !options_.overrides.aggregation.has_value() &&
-        !options_.overrides.byteslice.has_value()) {
+    if (FallsBackToHash(failure)) {
       // The progress counters describe the aborted specialized scan, not the
       // query that is about to run; reset them so callers never see a mix of
       // the two runs. The segment plan (scanned/eliminated) still stands.
@@ -588,6 +604,9 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
       }
       stats_.used_hash_fallback = true;
       Counters().hash_fallbacks.Increment();
+      // The generic engine runs under the same memory limit; the plans'
+      // reservations go first, as a morsel's mapper did at morsel end.
+      plan.segments.clear();
       return ExecuteQueryHashAgg(table_, query_, ctx);
     }
     Counters().errors.Increment();
@@ -700,12 +719,6 @@ ScanOptions MakeScanOptions(QueryContext* context) {
   const std::string& byteslice = settings.force_byteslice();
   if (!byteslice.empty()) {
     options.overrides.byteslice = byteslice == "on";
-  }
-  const std::string& cost_model = settings.cost_model();
-  if (!cost_model.empty()) {
-    const auto mode = ParseCostModelMode(cost_model);
-    BIPIE_DCHECK(mode.has_value());
-    if (mode.has_value()) options.overrides.cost_model = *mode;
   }
   return options;
 }

@@ -1,7 +1,7 @@
 // The BIPie columnstore scan (§3, Figure 1).
 //
 // Orchestrates the single-node scan of one table: per segment it applies
-// segment elimination, binds an Aggregate Processor (which fixes the
+// segment elimination and builds one SegmentPlan (which fixes the
 // aggregation strategy for that segment), then walks 4096-row batches —
 // filter evaluation producing a selection byte vector, merge with the
 // deleted-row mask, per-batch selection strategy choice, and fused
@@ -17,6 +17,7 @@
 #define BIPIE_CORE_SCAN_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@ namespace bipie {
 
 // Default rows per morsel when the scan runs on the shared pool: 16 batches
 // of kBatchRows — small enough that stealing fixes skew (an RLE-heavy or
-// mostly-eliminated sibling), large enough that per-morsel bind and queue
+// mostly-eliminated sibling), large enough that per-morsel setup and queue
 // costs stay far below decode cost.
 inline constexpr size_t kDefaultMorselRows = size_t{1} << 16;
 
@@ -97,8 +98,8 @@ struct ScanStats {
   // determinism pins (it is wall-clock, not work).
   uint64_t admission_wait_ns = 0;
   AggregateProcessor::SelectionStats selection;
-  // Segments per aggregation strategy, indexed by AggregationStrategy.
-  // Counted once per segment regardless of how many morsels scanned it.
+  // Segments per aggregation strategy, indexed by AggregationStrategy,
+  // counted from the segment plans (one per scanned segment).
   size_t aggregation_segments[kNumAggregationStrategies] = {0};
 };
 
@@ -111,25 +112,57 @@ class BIPieScan {
   // Runs the scan to completion.
   Result<QueryResult> Execute();
 
-  // Plans the scan without executing it (DESIGN.md §12): per segment, the
-  // elimination outcome, the resolved selection×aggregation strategy, the
-  // admission/profitability inputs that drove the choice and the rejected
-  // alternatives — plus the query-level hash-fallback decision. Rendered
-  // via PlanExplain::ToText()/ToJson(). Defined in src/obs/plan_explain.cc.
+  // Runs the planning pass Execute runs, without executing (DESIGN.md
+  // §12), and renders its output: per segment, the elimination outcome, the
+  // resolved selection×aggregation strategy, the admission/profitability
+  // inputs that drove the choice and the rejected alternatives — plus the
+  // query-level hash-fallback decision. Rendered via
+  // PlanExplain::ToText()/ToJson(). Defined in src/obs/plan_explain.cc.
   Result<PlanExplain> Explain() const;
 
   const ScanStats& stats() const { return stats_; }
 
  private:
+  // One non-empty segment as the planning pass left it.
+  struct PlannedSegment {
+    size_t segment_index = 0;
+    int eliminated_by_filter = -1;  // >= 0: metadata proved no row passes
+    Status status;                  // planning outcome of a scanned segment
+    std::unique_ptr<SegmentPlan> plan;  // null when eliminated
+  };
+
+  // Output of the planning pass shared by Execute and Explain.
+  struct ScanPlan {
+    std::vector<int> filter_cols;          // query filter -> table column
+    std::vector<PlannedSegment> segments;  // non-empty segments, in order
+    size_t segments_scanned = 0;
+    size_t segments_eliminated = 0;
+  };
+
+  // The planning pass: resolves the filter columns, skips empty segments,
+  // applies segment elimination and plans every surviving segment once, on
+  // the calling thread with the query's memory tracker bound (the plans'
+  // group-mapper reservations are charged to the query).
+  Status PlanScan(ScanPlan* out) const;
+
+  // Folds `st`, the next status in canonical order, into `failure`: the
+  // lowest-indexed real error wins, then the lowest-indexed kNotSupported
+  // rejection.
+  static void FoldFailure(const Status& st, Status* failure);
+
+  // True when `failure` sends the query to the generic hash-aggregation
+  // engine: a kNotSupported rejection with no strategy forced.
+  bool FallsBackToHash(const Status& failure) const;
+
   // One unit of scan work: a batch-aligned row range of one segment.
   // work_index orders morsels canonically (segment order, then range order)
-  // independent of execution order.
+  // independent of execution order. A segment whose plan failed becomes a
+  // single morsel that reports the planning status.
   struct Morsel {
     size_t work_index = 0;
-    size_t segment_index = 0;
     size_t start_row = 0;
     size_t num_rows = 0;
-    bool counts_segment = false;  // first morsel of its segment
+    const PlannedSegment* planned = nullptr;  // shared by the segment
   };
 
   // Binds the query's memory tracker for the morsel's duration and turns

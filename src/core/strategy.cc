@@ -37,25 +37,6 @@ const char* AggregationStrategyName(AggregationStrategy s) {
   return "?";
 }
 
-const char* CostModelModeName(CostModelMode mode) {
-  switch (mode) {
-    case CostModelMode::kOff:
-      return "off";
-    case CostModelMode::kOn:
-      return "on";
-    case CostModelMode::kAdaptive:
-      return "adaptive";
-  }
-  return "?";
-}
-
-std::optional<CostModelMode> ParseCostModelMode(const std::string& name) {
-  if (name == "off") return CostModelMode::kOff;
-  if (name == "on") return CostModelMode::kOn;
-  if (name == "adaptive") return CostModelMode::kAdaptive;
-  return std::nullopt;
-}
-
 bool RunBasedCapable(const RunAdmissionInputs& in) {
   return in.groups_are_runs && in.filters_are_runs &&
          in.aggregates_are_runs && !in.has_deleted_rows &&

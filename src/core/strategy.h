@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
 
 namespace bipie {
 
@@ -42,28 +41,6 @@ inline constexpr int kNumAggregationStrategies = 6;
 const char* SelectionStrategyName(SelectionStrategy s);
 const char* AggregationStrategyName(AggregationStrategy s);
 
-// How admission consults the calibrated cost model (DESIGN.md §17).
-//  * kOff      — the legacy hand-tuned heuristics decide (the §6 constants);
-//  * kOn       — the model's predicted cycles/row decide, using the
-//                process-wide calibration profile (builtin unless a
-//                measured one was installed);
-//  * kAdaptive — the heuristic choice stands unless the model predicts its
-//                own pick is faster by a clear margin (hedges against model
-//                error while still catching the heuristics' blind spots).
-enum class CostModelMode {
-  kOff = 0,
-  kOn = 1,
-  kAdaptive = 2,
-};
-
-// In kAdaptive mode the model must beat the heuristic's predicted cost by
-// this factor before its choice replaces the heuristic's.
-inline constexpr double kCostModelAdaptiveMargin = 0.90;
-
-const char* CostModelModeName(CostModelMode mode);
-// "on" | "off" | "adaptive" -> mode; anything else is nullopt.
-std::optional<CostModelMode> ParseCostModelMode(const std::string& name);
-
 // Forced choices for benchmarks / tests; unset means adaptive.
 struct StrategyOverrides {
   std::optional<SelectionStrategy> selection;
@@ -73,10 +50,6 @@ struct StrategyOverrides {
   // if no filter binds to one), false forces the decode-then-compare path;
   // unset means adaptive admission.
   std::optional<bool> byteslice;
-  // Cost-model consultation for the adaptive decisions above. Not a
-  // "forced" plan: explicit strategy overrides still win, and the hash
-  // fallback logic ignores it.
-  CostModelMode cost_model = CostModelMode::kOff;
 };
 
 // Picks the selection strategy for one batch.
@@ -165,9 +138,7 @@ struct ByteSliceAdmissionInputs {
 // Adaptive admission ceiling on the estimated selectivity of multi-plane
 // columns. Early exit prunes planes fastest when few lanes stay undecided
 // past plane 0 — which metadata can only see through the selectivity proxy.
-// Hand-tuned like the §6 heuristics; with cost_model=on the calibrated
-// model (src/cost, DESIGN.md §17) derives this boundary from measured
-// plane/decode throughputs instead.
+// Hand-tuned like the §6 heuristics.
 inline constexpr double kByteSliceSelectivityCeiling = 0.8;
 
 // Correctness gate: the plane kernels can evaluate this segment's filters.
@@ -190,10 +161,9 @@ double EstimatePredicateSelectivity(CompareOp op, int64_t literal,
 // --- plan introspection (DESIGN.md §12) ------------------------------------
 //
 // Every input that drove one segment's strategy resolution, recorded by
-// AggregateProcessor::Bind as plain data (no strings, no allocation beyond
-// the struct itself — Bind runs per morsel). PlanExplain (src/obs) turns a
-// PlanDecision into human-readable text and JSON, including the rejected
-// alternatives it can re-derive from these inputs.
+// PlanSegment (core/aggregate_processor.h) as plain data. PlanExplain
+// (src/obs) turns a PlanDecision into human-readable text and JSON,
+// including the rejected alternatives it can re-derive from these inputs.
 struct PlanDecision {
   AggregationStrategy aggregation = AggregationStrategy::kScalar;
   bool aggregation_forced = false;
@@ -228,23 +198,6 @@ struct PlanDecision {
   bool byteslice_capable = false;
   bool byteslice_admitted = false;
   std::optional<bool> forced_byteslice;
-
-  // Cost model (DESIGN.md §17). Populated only when cost_model_mode is not
-  // kOff; fixed-size numbers so Bind stays allocation-free. Costs are
-  // predicted cycles per segment row under the active calibration profile;
-  // a negative entry means "infeasible for this segment".
-  CostModelMode cost_model_mode = CostModelMode::kOff;
-  bool cost_model_profile_calibrated = false;  // builtin vs measured profile
-  bool cost_model_overrode = false;  // the model's pick replaced the
-                                     // heuristic's (kOn: differs at all;
-                                     // kAdaptive: differed by the margin)
-  double model_selectivity = 1.0;    // unified per-filter product estimate
-  double model_total_cpr[kNumAggregationStrategies] = {-1.0, -1.0, -1.0,
-                                                       -1.0, -1.0, -1.0};
-  double model_selection_cpr[3] = {-1.0, -1.0, -1.0};  // overhead per row
-  double model_gather_crossover = 0.0;
-  double model_filter_decode_cpr = -1.0;     // decode-then-compare filters
-  double model_filter_byteslice_cpr = -1.0;  // plane-kernel filters (<0: n/a)
 };
 
 }  // namespace bipie

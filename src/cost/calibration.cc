@@ -512,22 +512,4 @@ CalibrationProfile LoadOrCalibrate(const std::string& path) {
   return fresh;
 }
 
-// --- process-wide active profile --------------------------------------------
-
-namespace {
-CalibrationProfile& MutableActiveProfile() {
-  static CalibrationProfile profile = BuiltinProfile();
-  return profile;
-}
-}  // namespace
-
-const CalibrationProfile& ActiveProfile() { return MutableActiveProfile(); }
-
-CalibrationProfile InstallProfileForProcess(
-    const CalibrationProfile& profile) {
-  CalibrationProfile previous = MutableActiveProfile();
-  MutableActiveProfile() = profile;
-  return previous;
-}
-
 }  // namespace bipie::cost

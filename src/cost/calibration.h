@@ -1,13 +1,12 @@
 // Host calibration for the cost model (DESIGN.md §17; ROADMAP item 2).
 //
-// Every admission constant the planner used to hard-code (the run-span
-// floor, the byteslice selectivity ceiling, the gather crossover) is really
-// a ratio between primitive throughputs: cycles/row to unpack a bit-packed
-// stream at some width, cycles/row/plane for the byteslice kernels,
-// cycles/span for run bookkeeping, and so on. A CalibrationProfile captures
-// those primitives in one place, in the paper's unit (elapsed CPU cycles
-// per input row), so the CostModel can derive the decisions instead of
-// guessing them.
+// Every admission constant the planner hard-codes (the run-span floor, the
+// byteslice selectivity ceiling, the gather crossover) is really a ratio
+// between primitive throughputs: cycles/row to unpack a bit-packed stream
+// at some width, cycles/row/plane for the byteslice kernels, cycles/span
+// for run bookkeeping, and so on. A CalibrationProfile captures those
+// primitives in one place, in the paper's unit (elapsed CPU cycles per
+// input row), so the CostModel can price plans and encodings from them.
 //
 // Three sources, in increasing fidelity:
 //
@@ -23,10 +22,6 @@
 //    input: wrong magic, size, version or CRC32C, and non-finite or
 //    non-positive entries all reject with a structured Status (never a
 //    crash), so callers fall back to builtin or recalibrate.
-//
-// The process-wide ActiveProfile() defaults to BuiltinProfile();
-// InstallProfileForProcess swaps it (startup / test setup only — not
-// thread-safe with concurrent scans, like SetIsaTierForTesting).
 #ifndef BIPIE_COST_CALIBRATION_H_
 #define BIPIE_COST_CALIBRATION_H_
 
@@ -128,17 +123,6 @@ Result<CalibrationProfile> LoadProfile(const std::string& path);
 // file (best-effort — a read-only path still returns the fresh profile).
 // This is the "version mismatch -> recalibrate" entry point for tools.
 CalibrationProfile LoadOrCalibrate(const std::string& path);
-
-// --- process-wide active profile --------------------------------------------
-
-// The profile model-mode admission consults. Defaults to BuiltinProfile()
-// so decisions (and explain goldens) are machine-independent until a
-// caller explicitly installs a measured profile.
-const CalibrationProfile& ActiveProfile();
-
-// Replaces the active profile, returning the previous one (so tests can
-// restore it). Not thread-safe with concurrent scans.
-CalibrationProfile InstallProfileForProcess(const CalibrationProfile& profile);
 
 }  // namespace bipie::cost
 

@@ -2,8 +2,8 @@
 //
 // Predicts cycles per segment row for every candidate plan of one segment —
 // selection strategy × aggregation strategy × byteslice on/off — from the
-// same metadata AggregateProcessor::Bind already gathers, plus a
-// CalibrationProfile (cost/calibration.h). The pipeline laws, with s the
+// same segment metadata PlanSegment gathers, plus a CalibrationProfile
+// (cost/calibration.h). The pipeline laws, with s the
 // unified selectivity estimate, G the group-column decode cost, D the
 // aggregate-input decode cost and K(X) the strategy-X kernel cost (all
 // cycles/row):
@@ -37,7 +37,7 @@
 
 namespace bipie::cost {
 
-// Scalar summary of one segment's shape, filled by Bind (or by tests
+// Scalar summary of one segment's shape (the decision-table golden fills it
 // directly). All *_cpr fields are cycles per segment row.
 struct SegmentCostInputs {
   size_t rows = 0;
@@ -56,7 +56,7 @@ struct SegmentCostInputs {
   // Aggregate-input decode per processed row (post-selection).
   double agg_decode_cpr = 0.0;
   int num_sums = 0;
-  // Feasibility gates mirrored from Bind's checks.
+  // Feasibility gates mirrored from PlanSegment's checks.
   bool in_register_feasible = false;
   bool multi_fits = false;
   bool sort_feasible = false;

@@ -74,13 +74,6 @@ const std::vector<SettingDef>& RegistryImpl() {
        "queued query; aging promotes long waiters one band per aging "
        "quantum so low priority is delayed under saturation, never starved.",
        0, 0, 0, false, "normal", "high|normal|low"},
-      {"cost_model", SettingType::kString,
-       "Calibrated cost-model consultation for per-segment admission "
-       "(DESIGN.md §17): 'on' lets the model pick the aggregation strategy, "
-       "byteslice admission and gather crossover; 'adaptive' keeps the §6 "
-       "heuristics unless the model predicts a clear win; 'off' (default) "
-       "uses the legacy heuristics alone. Empty = off.",
-       0, 0, 0, false, "", "on|off|adaptive"},
   };
   return *defs;
 }

@@ -78,7 +78,6 @@ class QuerySettings {
   const std::string& force_aggregation_strategy() const { return str_[1]; }
   const std::string& force_byteslice() const { return str_[2]; }
   const std::string& priority() const { return str_[3]; }
-  const std::string& cost_model() const { return str_[4]; }
 
  private:
   // Values live in per-type arrays indexed by the registry row's

@@ -69,6 +69,7 @@ class ColumnPredicate {
   const std::string& string_literal() const { return string_literal_; }
   int64_t literal() const { return literal_; }
   int64_t literal2() const { return literal2_; }
+  bool is_string() const { return is_string_; }
 
   // Evaluates rows [start, start + n) of `col`, writing n selection bytes.
   // sel_out needs 32 bytes of write slack (AlignedBuffer padding).

@@ -93,17 +93,6 @@ std::string Fixed2(double v) {
   return buf;
 }
 
-// Index of the model's cheapest feasible strategy (strict-less argmin, the
-// same tie rule ScoreSegment uses); -1 when nothing was scored.
-int ModelArgmin(const PlanDecision& d) {
-  int best = -1;
-  for (int i = 0; i < static_cast<int>(kNumAggregationStrategies); ++i) {
-    if (d.model_total_cpr[i] < 0.0) continue;
-    if (best < 0 || d.model_total_cpr[i] < d.model_total_cpr[best]) best = i;
-  }
-  return best;
-}
-
 // Why the run pipeline cannot (or should not) take this segment, from the
 // recorded admission inputs.
 std::string RunRejectionReason(const PlanDecision& d) {
@@ -139,15 +128,6 @@ std::string ByteSliceReason(const PlanDecision& d) {
   }
   if (!d.byteslice_capable) {
     return "infeasible: no filter binds to a byte-sliced column";
-  }
-  if (d.cost_model_mode != CostModelMode::kOff &&
-      d.model_filter_byteslice_cpr >= 0.0) {
-    return std::string("model: plane kernels ") +
-           Fixed2(d.model_filter_byteslice_cpr) + " vs decode " +
-           Fixed2(d.model_filter_decode_cpr) + " cycles/row" +
-           (d.cost_model_mode == CostModelMode::kAdaptive
-                ? ", adaptive margin applied"
-                : "");
   }
   if (d.byteslice_admitted) {
     return in.max_planes <= 1
@@ -253,6 +233,9 @@ std::vector<RejectedAlternative> DeriveRejected(const PlanDecision& d) {
 }  // namespace
 
 Result<PlanExplain> BIPieScan::Explain() const {
+  ScanPlan plan;
+  BIPIE_RETURN_NOT_OK(PlanScan(&plan));
+
   PlanExplain explain;
   explain.segment_elimination_enabled = options_.enable_segment_elimination;
   for (const std::string& g : query_.group_by) explain.group_by.push_back(g);
@@ -262,110 +245,56 @@ Result<PlanExplain> BIPieScan::Explain() const {
   for (const ColumnPredicate& pred : query_.filters) {
     explain.filters.push_back(RenderPredicate(pred));
   }
+  explain.segments_scanned = plan.segments_scanned;
+  explain.segments_eliminated = plan.segments_eliminated;
 
-  // Same early validation as Execute: unknown filter columns are an error,
-  // not a plan.
-  std::vector<int> filter_cols;
-  for (const ColumnPredicate& pred : query_.filters) {
-    const int idx = table_.FindColumn(pred.column_name());
-    if (idx < 0) {
-      return Status::InvalidArgument("unknown filter column: " +
-                                     pred.column_name());
-    }
-    filter_cols.push_back(idx);
-  }
-
-  // Per-segment resolution, mirroring Execute's elimination pass and the
-  // per-morsel Bind (which is metadata-only and cheap).
-  Status first_real_error;
-  Status first_not_supported;
-  for (size_t s = 0; s < table_.num_segments(); ++s) {
-    const Segment& segment = table_.segment(s);
-    if (segment.num_rows() == 0) continue;
+  // The query-level outcome follows Execute's failure choice over the
+  // plans in segment order.
+  Status failure;
+  for (const PlannedSegment& planned : plan.segments) {
+    SegmentExplain seg;
+    seg.segment_index = planned.segment_index;
+    seg.num_rows = table_.segment(planned.segment_index).num_rows();
     ++explain.segments_total;
-    explain.total_rows += segment.num_rows();
-
-    SegmentPlan plan;
-    plan.segment_index = s;
-    plan.num_rows = segment.num_rows();
-
-    if (options_.enable_segment_elimination) {
-      for (size_t f = 0; f < query_.filters.size(); ++f) {
-        if (query_.filters[f].EliminatesSegment(
-                segment.column(filter_cols[f]))) {
-          plan.eliminated = true;
-          plan.eliminated_by_filter = static_cast<int>(f);
-          plan.eliminated_by = explain.filters[f];
-          break;
-        }
-      }
-    }
-    if (plan.eliminated) {
-      ++explain.segments_eliminated;
-      explain.segments.push_back(std::move(plan));
+    explain.total_rows += seg.num_rows;
+    if (planned.plan == nullptr) {
+      seg.eliminated = true;
+      seg.eliminated_by_filter = planned.eliminated_by_filter;
+      seg.eliminated_by = explain.filters[planned.eliminated_by_filter];
+      explain.segments.push_back(std::move(seg));
       continue;
     }
-    ++explain.segments_scanned;
-
-    AggregateProcessor processor;
-    const Status bind =
-        processor.Bind(table_, segment, query_, options_.overrides);
-    plan.decision = processor.plan_decision();
-    if (!bind.ok()) {
-      plan.bind_ok = false;
-      plan.bind_error = bind.ToString();
-      plan.bind_not_supported = bind.code() == StatusCode::kNotSupported;
-      if (plan.bind_not_supported) {
-        if (first_not_supported.ok()) first_not_supported = bind;
-      } else if (first_real_error.ok()) {
-        first_real_error = bind;
-      }
+    FoldFailure(planned.status, &failure);
+    seg.decision = planned.plan->decision;
+    if (!planned.status.ok()) {
+      seg.bind_ok = false;
+      seg.bind_error = planned.status.ToString();
+      seg.bind_not_supported =
+          planned.status.code() == StatusCode::kNotSupported;
     } else {
-      plan.bind_ok = true;
-      const PlanDecision& d = plan.decision;
-      plan.selection_applies =
+      seg.bind_ok = true;
+      const PlanDecision& d = seg.decision;
+      seg.selection_applies =
           d.filtered && d.aggregation != AggregationStrategy::kRunBased;
-      plan.gather_crossover =
+      seg.gather_crossover =
           GatherCrossoverSelectivity(d.max_materialized_bits);
-      plan.predicted_selection =
+      seg.predicted_selection =
           d.forced_selection.has_value()
               ? *d.forced_selection
               : ChooseSelectionStrategy(d.expected_selectivity,
                                         d.max_materialized_bits,
                                         d.special_group_available);
-      // cost_model=on swaps the Figure-7 crossover for the model's (the
-      // same substitution PickBatchMode makes per batch).
-      if (d.cost_model_mode == CostModelMode::kOn &&
-          !d.forced_selection.has_value()) {
-        plan.gather_crossover = d.model_gather_crossover;
-        plan.predicted_selection =
-            d.model_selectivity <= d.model_gather_crossover
-                ? SelectionStrategy::kGather
-                : (d.special_group_available ? SelectionStrategy::kSpecialGroup
-                                             : SelectionStrategy::kCompact);
-      }
-      plan.rejected = DeriveRejected(d);
+      seg.rejected = DeriveRejected(d);
     }
-    explain.segments.push_back(std::move(plan));
+    explain.segments.push_back(std::move(seg));
   }
 
-  // Query-level outcome, following Execute's deterministic failure choice:
-  // the lowest-indexed real error wins; otherwise a kNotSupported rejection
-  // means hash fallback (adaptive) or a returned error (forced plan).
-  const bool forced = options_.overrides.selection.has_value() ||
-                      options_.overrides.aggregation.has_value() ||
-                      options_.overrides.byteslice.has_value();
-  if (!first_real_error.ok()) {
+  if (FallsBackToHash(failure)) {
+    explain.hash_fallback = true;
+    explain.hash_fallback_reason = failure.ToString();
+  } else if (!failure.ok()) {
     explain.plan_error = true;
-    explain.plan_error_text = first_real_error.ToString();
-  } else if (!first_not_supported.ok()) {
-    if (forced) {
-      explain.plan_error = true;
-      explain.plan_error_text = first_not_supported.ToString();
-    } else {
-      explain.hash_fallback = true;
-      explain.hash_fallback_reason = first_not_supported.ToString();
-    }
+    explain.plan_error_text = failure.ToString();
   }
   return explain;
 }
@@ -402,7 +331,7 @@ std::string PlanExplain::ToText() const {
          " eliminated)");
   }
 
-  for (const SegmentPlan& seg : segments) {
+  for (const SegmentExplain& seg : segments) {
     line("segment " + std::to_string(seg.segment_index) + ": " +
          std::to_string(seg.num_rows) + " rows");
     if (seg.eliminated) {
@@ -443,51 +372,6 @@ std::string PlanExplain::ToText() const {
            (d.byteslice_admitted ? "yes" : "no") + ", planes<=" +
            std::to_string(d.byteslice_inputs.max_planes) + " (" +
            ByteSliceReason(d) + ")");
-    }
-    // Cost-model block only renders when the model was consulted: off-mode
-    // explains stay byte-identical to the pre-§17 text.
-    if (d.cost_model_mode != CostModelMode::kOff) {
-      line(std::string("    cost model: ") +
-           CostModelModeName(d.cost_model_mode) + ", profile " +
-           (d.cost_model_profile_calibrated ? "calibrated" : "builtin") +
-           ", model selectivity " + Fixed2(d.model_selectivity) +
-           ", overrode heuristic: " + (d.cost_model_overrode ? "yes" : "no"));
-      {
-        const int best = ModelArgmin(d);
-        std::string cpr = "      predicted cycles/row:";
-        for (int i = 0; i < static_cast<int>(kNumAggregationStrategies); ++i) {
-          cpr += i == 0 ? " " : ", ";
-          cpr += AggregationStrategyName(static_cast<AggregationStrategy>(i));
-          cpr += ' ';
-          cpr += d.model_total_cpr[i] < 0.0 ? std::string("-")
-                                            : Fixed2(d.model_total_cpr[i]);
-          if (i == best) cpr += '*';
-        }
-        line(cpr);
-      }
-      if (d.filtered) {
-        static constexpr const char* kSelNames[3] = {"gather", "compact",
-                                                     "special-group"};
-        std::string sel = "      selection cycles/row:";
-        for (int i = 0; i < 3; ++i) {
-          sel += i == 0 ? " " : ", ";
-          sel += kSelNames[i];
-          sel += ' ';
-          sel += d.model_selection_cpr[i] < 0.0
-                     ? std::string("-")
-                     : Fixed2(d.model_selection_cpr[i]);
-        }
-        sel += "; model gather crossover " + Fixed2(d.model_gather_crossover);
-        line(sel);
-        line("      filter cycles/row: decode " +
-             (d.model_filter_decode_cpr < 0.0
-                  ? std::string("-")
-                  : Fixed2(d.model_filter_decode_cpr)) +
-             ", byteslice " +
-             (d.model_filter_byteslice_cpr < 0.0
-                  ? std::string("-")
-                  : Fixed2(d.model_filter_byteslice_cpr)));
-      }
     }
     if (!seg.selection_applies) {
       line("  selection: none (no filters or deletes reach the batch loop)");
@@ -544,7 +428,7 @@ std::string PlanExplain::ToJson(int indent) const {
   w.EndObject();
 
   w.Key("segments").BeginArray();
-  for (const SegmentPlan& seg : segments) {
+  for (const SegmentExplain& seg : segments) {
     w.BeginObject();
     w.KV("index", seg.segment_index);
     w.KV("rows", seg.num_rows);
@@ -599,64 +483,6 @@ std::string PlanExplain::ToJson(int indent) const {
       w.EndObject();
     }
     w.EndObject();
-
-    // Present only when the model was consulted, so cost_model=off JSON is
-    // byte-identical to the pre-§17 schema.
-    if (d.cost_model_mode != CostModelMode::kOff) {
-      w.Key("cost_model").BeginObject();
-      w.KV("mode", CostModelModeName(d.cost_model_mode));
-      w.KV("profile",
-           d.cost_model_profile_calibrated ? "calibrated" : "builtin");
-      w.KV("model_selectivity", d.model_selectivity);
-      w.KV("overrode_heuristic", d.cost_model_overrode);
-      {
-        const int best = ModelArgmin(d);
-        w.Key("predicted_cycles_per_row").BeginObject();
-        for (int i = 0; i < static_cast<int>(kNumAggregationStrategies); ++i) {
-          w.Key(AggregationStrategyName(static_cast<AggregationStrategy>(i)));
-          if (d.model_total_cpr[i] < 0.0) {
-            w.Null();
-          } else {
-            w.Value(d.model_total_cpr[i]);
-          }
-        }
-        if (best >= 0) {
-          w.KV("model_pick", AggregationStrategyName(
-                                 static_cast<AggregationStrategy>(best)));
-        }
-        w.EndObject();
-      }
-      if (d.filtered) {
-        static constexpr const char* kSelNames[3] = {"gather", "compact",
-                                                     "special_group"};
-        w.Key("selection_cycles_per_row").BeginObject();
-        for (int i = 0; i < 3; ++i) {
-          w.Key(kSelNames[i]);
-          if (d.model_selection_cpr[i] < 0.0) {
-            w.Null();
-          } else {
-            w.Value(d.model_selection_cpr[i]);
-          }
-        }
-        w.EndObject();
-        w.KV("model_gather_crossover", d.model_gather_crossover);
-        w.Key("filter_cycles_per_row").BeginObject();
-        w.Key("decode");
-        if (d.model_filter_decode_cpr < 0.0) {
-          w.Null();
-        } else {
-          w.Value(d.model_filter_decode_cpr);
-        }
-        w.Key("byteslice");
-        if (d.model_filter_byteslice_cpr < 0.0) {
-          w.Null();
-        } else {
-          w.Value(d.model_filter_byteslice_cpr);
-        }
-        w.EndObject();
-      }
-      w.EndObject();
-    }
 
     w.Key("selection").BeginObject();
     w.KV("applies", seg.selection_applies);

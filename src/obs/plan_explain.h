@@ -1,10 +1,10 @@
 // Query plan introspection (DESIGN.md §12).
 //
-// BIPieScan::Explain() resolves the same per-segment decisions Execute()
-// would make — segment elimination, aggregation strategy with every
-// admission/profitability input, the predicted per-batch selection choice,
-// the query-level hash-fallback — without touching a single encoded byte
-// beyond metadata. The result renders as human-readable text and as stable
+// BIPieScan::Explain() runs the planning pass Execute() runs — segment
+// elimination, one SegmentPlan per surviving segment with every
+// admission/profitability input — and renders it, adding the predicted
+// per-batch selection choice and the query-level hash-fallback, without
+// touching a single encoded byte beyond metadata. The result renders as human-readable text and as stable
 // JSON (fixed key order, fixed number formatting) suitable for golden
 // tests: the same table + query + options produce byte-identical output on
 // every machine and at every thread count.
@@ -19,15 +19,15 @@
 namespace bipie {
 
 // One strategy that was not chosen for a segment, and why. Reasons are
-// derived from the PlanDecision inputs (never recorded on the bind hot
-// path).
+// derived from the PlanDecision inputs (never recorded while planning).
 struct RejectedAlternative {
   AggregationStrategy strategy = AggregationStrategy::kScalar;
   bool feasible = false;
   std::string reason;
 };
 
-struct SegmentPlan {
+// One segment of the rendered plan.
+struct SegmentExplain {
   size_t segment_index = 0;
   size_t num_rows = 0;
 
@@ -36,9 +36,10 @@ struct SegmentPlan {
   int eliminated_by_filter = -1;  // index into the query's filters
   std::string eliminated_by;      // rendered predicate
 
-  // Strategy resolution (meaningful when !eliminated). A failed bind
-  // (forced-plan rejection, overflow abort, >255 groups) keeps bind_ok
-  // false with the status text; decision still holds the recorded inputs.
+  // Strategy resolution (meaningful when !eliminated), copied from the
+  // segment's SegmentPlan. A failed plan (forced-plan rejection, overflow
+  // abort, >255 groups) keeps bind_ok false with the status text; decision
+  // still holds the recorded inputs.
   bool bind_ok = false;
   std::string bind_error;
   bool bind_not_supported = false;  // the kNotSupported (fallback) class
@@ -74,7 +75,7 @@ struct PlanExplain {
   bool plan_error = false;       // forced/overflow rejection Execute returns
   std::string plan_error_text;
 
-  std::vector<SegmentPlan> segments;
+  std::vector<SegmentExplain> segments;
 
   std::string ToText() const;
   // Stable JSON; indent > 0 pretty-prints, 0 emits one line.

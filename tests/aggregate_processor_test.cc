@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/scan.h"
+#include "obs/plan_explain.h"
 #include "storage/table.h"
 
 namespace bipie {
@@ -59,6 +61,35 @@ TEST(AggregateProcessorTest, BindRejectsStringAggregate) {
   AggregateProcessor processor;
   EXPECT_EQ(processor.Bind(table, table.segment(0), query, {}).code(),
             StatusCode::kNotSupported);
+}
+
+TEST(AggregateProcessorTest, PlanRejectsBetweenOnStringColumn) {
+  // Dictionary verdicts have no range form. Planning rejects the filter,
+  // so Explain shows the hash fallback Execute takes (where the generic
+  // engine rejects it too), not a specialized scan that fails mid-batch.
+  Table table({{"s", ColumnType::kString},
+               {"x", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  TableAppender app(&table, 64);
+  for (int i = 0; i < 100; ++i) {
+    app.AppendRow({0, i}, {i % 2 == 0 ? "a" : "b"});
+  }
+  app.Flush();
+  QuerySpec query;
+  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("x")};
+  query.filters.emplace_back("s", CompareOp::kBetween, std::string("a"));
+
+  SegmentPlan plan;
+  EXPECT_EQ(PlanSegment(table, table.segment(0), query, {}, &plan).code(),
+            StatusCode::kNotSupported);
+  EXPECT_EQ(plan.decision.num_sums, 1);  // recorded before the rejection
+
+  BIPieScan scan(table, query);
+  auto explain = scan.Explain();
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_TRUE(explain.value().hash_fallback);
+  EXPECT_NE(explain.value().hash_fallback_reason.find("BETWEEN"),
+            std::string::npos);
+  EXPECT_EQ(scan.Execute().status().code(), StatusCode::kNotSupported);
 }
 
 TEST(AggregateProcessorTest, BindRejectsInfeasibleForcedStrategies) {

@@ -15,6 +15,8 @@
 #include "core/scan.h"
 #include "tests/test_util.h"
 #include "exec/query_context.h"
+#include "exec/scheduler.h"
+#include "obs/metrics.h"
 #include "storage/table.h"
 
 namespace bipie {
@@ -104,6 +106,69 @@ TEST(ConcurrentScanTest, MorselSplitIsResultInvariant) {
     // Stats must describe the same scan regardless of the split.
     EXPECT_EQ(scan.stats().rows_scanned, table.num_rows());
     EXPECT_EQ(scan.stats().segments_scanned, table.num_segments());
+  }
+}
+
+// Segments of eight batches, scanned by one-batch morsels: the morsels of a
+// segment share its plan, so a pooled scan builds one plan per segment.
+TEST(ConcurrentScanTest, PooledScanPlansEachSegmentOnce) {
+  Table table = MakeGroupedTable(3 * 8 * kBatchRows, 8 * kBatchRows, 73);
+  QuerySpec query = MakeGroupedQuery();
+  ScanOptions options;
+  options.num_threads = 0;
+  options.morsel_rows = kBatchRows;
+  obs::Counter& plans = obs::Counter::Get("scan.segment_plans");
+  obs::Counter& morsels = obs::Counter::Get("scan.morsels");
+  const uint64_t plans_before = plans.value();
+  const uint64_t morsels_before = morsels.value();
+
+  BIPieScan scan(table, query, options);
+  auto got = scan.Execute();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(scan.stats().segments_scanned, 3u);
+  EXPECT_EQ(plans.value() - plans_before, scan.stats().segments_scanned);
+  // The scan runs inline (one morsel per segment) only when the pool adds
+  // no parallelism.
+  const bool pooled = Scheduler::Global().num_workers() > 1 ||
+                      std::thread::hardware_concurrency() > 1;
+  EXPECT_EQ(morsels.value() - morsels_before,
+            (pooled ? 8 : 1) * scan.stats().segments_scanned);
+}
+
+// Two dictionary group columns combine through second-column scratch that
+// each morsel's processor owns; the pooled morsels of a segment share the
+// mapper itself.
+TEST(ConcurrentScanTest, PooledTwoColumnGroupByMatchesOracle) {
+  Table table({{"g1", ColumnType::kInt64, EncodingChoice::kDictionary},
+               {"g2", ColumnType::kInt64, EncodingChoice::kDictionary},
+               {"x", ColumnType::kInt64, EncodingChoice::kBitPacked},
+               {"f", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  TableAppender app(&table, 8 * kBatchRows);
+  Rng rng(74);
+  for (size_t i = 0; i < 3 * 8 * kBatchRows; ++i) {
+    app.AppendRow({static_cast<int64_t>(rng.NextBounded(9)),
+                   static_cast<int64_t>(rng.NextBounded(13)),
+                   rng.NextInRange(0, 20000), rng.NextInRange(0, 99)});
+  }
+  app.Flush();
+  ASSERT_EQ(table.num_segments(), 3u);
+
+  // 10% keeps the gather path (MapSelected); 70% the dense one (MapBatch).
+  for (const int64_t cut : {int64_t{10}, int64_t{70}}) {
+    QuerySpec query;
+    query.group_by = {"g1", "g2"};
+    query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("x"),
+                        AggregateSpec::Max("x")};
+    query.filters.emplace_back("f", CompareOp::kLt, cut);
+    auto oracle = ExecuteQueryHashAgg(table, query);
+    ASSERT_TRUE(oracle.ok());
+    ScanOptions options;
+    options.num_threads = 0;
+    options.morsel_rows = 4096;
+    auto got = test::ExecuteChecked(table, query, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameResults(got.value(), oracle.value(),
+                      "f<" + std::to_string(cut));
   }
 }
 

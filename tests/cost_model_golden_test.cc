@@ -1,14 +1,10 @@
 // Golden-file tests for the calibrated cost model (DESIGN.md §17).
 //
-// Two surfaces are pinned byte-for-byte under the builtin profile:
-//
-//  * the decision table — ScoreSegment's chosen strategy, predicted
-//    selection, byteslice verdict and predicted cycles/row over a grid of
-//    segment shapes × selectivities. Any retuning of the builtin constants
-//    or change to the pipeline laws shows up as a diff here first;
-//  * the explain renderings (text + JSON) of real plans under
-//    cost_model=off/on/adaptive, including the model cost block and the
-//    model-derived byteslice reasons.
+// The decision table is pinned byte-for-byte under the builtin profile:
+// ScoreSegment's chosen strategy, predicted selection, byteslice verdict and
+// predicted cycles/row over a grid of segment shapes × selectivities. Any
+// retuning of the builtin constants or change to the pipeline laws shows up
+// as a diff here first.
 //
 // To regenerate after an intentional model change:
 //
@@ -23,13 +19,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "common/random.h"
-#include "core/scan.h"
 #include "cost/calibration.h"
 #include "cost/cost_model.h"
-#include "obs/plan_explain.h"
-#include "storage/table.h"
 
 #ifndef BIPIE_GOLDEN_DIR
 #error "BIPIE_GOLDEN_DIR must be defined to the tests/golden directory"
@@ -62,15 +55,6 @@ void CompareWithGolden(const std::string& name, const char* ext,
       << "cost model output diverged from " << path
       << " — if the model change is intentional, regenerate with "
          "cost_model_golden_test --update-golden and review the diff";
-}
-
-void CheckCase(const std::string& name, const Table& table,
-               const QuerySpec& query, const ScanOptions& options = {}) {
-  BIPieScan scan(table, query, options);
-  auto explain = scan.Explain();
-  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
-  CompareWithGolden(name, "txt", explain.value().ToText());
-  CompareWithGolden(name, "json", explain.value().ToJson() + "\n");
 }
 
 // --- decision-table golden --------------------------------------------------
@@ -184,129 +168,6 @@ TEST(CostModelGoldenTest, DecisionTable) {
     }
   }
   CompareWithGolden("cost_decision_table", "txt", out);
-}
-
-// --- explain goldens (mixed / run / byteslice tables × modes) ---------------
-
-// Dictionary string group + bit-packed value columns, three segments
-// (mirrors explain_golden_test's mixed table, same seed).
-Table MakeMixedTable() {
-  Table table({
-      {"g", ColumnType::kString},
-      {"narrow", ColumnType::kInt64, EncodingChoice::kBitPacked},
-      {"wide", ColumnType::kInt64, EncodingChoice::kBitPacked},
-      {"filter_col", ColumnType::kInt64, EncodingChoice::kBitPacked},
-  });
-  TableAppender app(&table, /*segment_rows=*/1024);
-  Rng rng(4001);
-  const char* groups[4] = {"east", "west", "north", "south"};
-  for (size_t i = 0; i < 3000; ++i) {
-    std::vector<int64_t> ints(4, 0);
-    std::vector<std::string> strings(4);
-    strings[0] = groups[rng.NextBounded(4)];
-    ints[1] = rng.NextInRange(0, 127);
-    ints[2] = rng.NextInRange(0, (1 << 20) - 1);
-    ints[3] = rng.NextInRange(0, 999);
-    app.AppendRow(ints, strings);
-  }
-  app.Flush();
-  return table;
-}
-
-QuerySpec MakeMixedQuery() {
-  QuerySpec query;
-  query.group_by = {"g"};
-  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("narrow"),
-                      AggregateSpec::Sum("wide")};
-  query.filters.emplace_back("filter_col", CompareOp::kLt, int64_t{250});
-  return query;
-}
-
-Table MakeRunTable() {
-  Table table({
-      {"g", ColumnType::kInt64, EncodingChoice::kRle},
-      {"f", ColumnType::kInt64, EncodingChoice::kRle},
-      {"amount", ColumnType::kInt64, EncodingChoice::kRle},
-  });
-  TableAppender app(&table, /*segment_rows=*/size_t{1} << 16);
-  for (size_t i = 0; i < 60000; ++i) {
-    app.AppendRow({static_cast<int64_t>((i / 10000) % 3),
-                   static_cast<int64_t>((i / 7000) % 4),
-                   static_cast<int64_t>((i / 6000) % 50)});
-  }
-  app.Flush();
-  return table;
-}
-
-Table MakeByteSliceTable() {
-  Table table({
-      {"g", ColumnType::kInt64, EncodingChoice::kDictionary},
-      {"sliced", ColumnType::kInt64, EncodingChoice::kByteSliced},
-      {"amount", ColumnType::kInt64, EncodingChoice::kBitPacked},
-  });
-  TableAppender app(&table, /*segment_rows=*/2048);
-  Rng rng(4004);
-  for (size_t i = 0; i < 5000; ++i) {
-    app.AppendRow({rng.NextInRange(0, 5),
-                   rng.NextInRange(0, (int64_t{1} << 22) - 1),
-                   rng.NextInRange(0, 499)});
-  }
-  app.Flush();
-  return table;
-}
-
-QuerySpec MakeByteSliceQuery(int64_t threshold) {
-  QuerySpec query;
-  query.group_by = {"g"};
-  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("amount")};
-  query.filters.emplace_back("sliced", CompareOp::kLt, threshold);
-  return query;
-}
-
-ScanOptions WithMode(CostModelMode mode) {
-  ScanOptions options;
-  options.overrides.cost_model = mode;
-  return options;
-}
-
-TEST(CostModelGoldenTest, MixedOff) {
-  // Off must render no cost block at all — byte-identical to the legacy
-  // explain for this plan.
-  CheckCase("cost_mixed_off", MakeMixedTable(), MakeMixedQuery(),
-            WithMode(CostModelMode::kOff));
-}
-
-TEST(CostModelGoldenTest, MixedOn) {
-  CheckCase("cost_mixed_on", MakeMixedTable(), MakeMixedQuery(),
-            WithMode(CostModelMode::kOn));
-}
-
-TEST(CostModelGoldenTest, MixedAdaptive) {
-  CheckCase("cost_mixed_adaptive", MakeMixedTable(), MakeMixedQuery(),
-            WithMode(CostModelMode::kAdaptive));
-}
-
-TEST(CostModelGoldenTest, RunOn) {
-  QuerySpec query;
-  query.group_by = {"g"};
-  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("amount")};
-  query.filters.emplace_back("f", CompareOp::kLt, int64_t{2});
-  CheckCase("cost_run_on", MakeRunTable(), query,
-            WithMode(CostModelMode::kOn));
-}
-
-TEST(CostModelGoldenTest, ByteSliceSelectiveOn) {
-  // ~6% selectivity: the model admits the plane kernels.
-  CheckCase("cost_byteslice_selective_on", MakeByteSliceTable(),
-            MakeByteSliceQuery(int64_t{1} << 18),
-            WithMode(CostModelMode::kOn));
-}
-
-TEST(CostModelGoldenTest, ByteSliceBroadOn) {
-  // ~97% selectivity: the model prices the planes above the decode path.
-  CheckCase("cost_byteslice_broad_on", MakeByteSliceTable(),
-            MakeByteSliceQuery((int64_t{1} << 22) - 100000),
-            WithMode(CostModelMode::kOn));
 }
 
 }  // namespace

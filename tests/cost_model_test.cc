@@ -3,11 +3,8 @@
 // The profile file is untrusted input: the corruption sweep flips every
 // byte and tries every truncation length, and all of them must reject with
 // a structured Status — never a crash, never a silently-wrong profile. The
-// model-law tests pin the monotonicity properties the admission logic
-// relies on, and the regression tests cover the decisions the model makes
-// differently from (or identically to) the legacy heuristics on real
-// tables, including the latent run-admission inconsistency: the heuristic
-// span floor never consulted filter selectivity, the model does.
+// model-law tests pin the monotonicity properties the encoding advisor and
+// the decision table rely on.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,14 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "baseline/scalar_engine.h"
 #include "common/crc32c.h"
-#include "common/random.h"
-#include "core/scan.h"
 #include "cost/calibration.h"
 #include "cost/cost_model.h"
-#include "obs/plan_explain.h"
-#include "storage/table.h"
 
 namespace bipie {
 namespace cost {
@@ -257,160 +249,6 @@ TEST(CostModelLawTest, InfeasibleStrategiesScoreNegative) {
             0.0);
   EXPECT_GE(costs.total_cpr[static_cast<int>(AggregationStrategy::kScalar)],
             0.0);
-}
-
-// --- run-admission regression (the latent inconsistency) --------------------
-
-// Run-shaped table whose spans average `span_rows` rows. The heuristic
-// admits the run pipeline on span length alone; the model also prices the
-// filter's selectivity, which the byteslice admission always consulted but
-// run admission never did.
-Table MakeSpanTable(size_t rows, size_t span_rows) {
-  Table table({
-      {"g", ColumnType::kInt64, EncodingChoice::kRle},
-      {"f", ColumnType::kInt64, EncodingChoice::kRle},
-      {"amount", ColumnType::kInt64, EncodingChoice::kRle},
-  });
-  TableAppender app(&table, /*segment_rows=*/size_t{1} << 16);
-  for (size_t i = 0; i < rows; ++i) {
-    const int64_t span = static_cast<int64_t>(i / span_rows);
-    app.AppendRow({span % 3, span % 97, (span / 2) % 50});
-  }
-  app.Flush();
-  return table;
-}
-
-QuerySpec MakeSpanQuery(int64_t filter_lt) {
-  QuerySpec query;
-  query.group_by = {"g"};
-  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("amount")};
-  query.filters.emplace_back("f", CompareOp::kLt, filter_lt);
-  return query;
-}
-
-PlanDecision FirstDecision(const Table& table, const QuerySpec& query,
-                           const ScanOptions& options) {
-  BIPieScan scan(table, query, options);
-  auto explain = scan.Explain();
-  EXPECT_TRUE(explain.ok()) << explain.status().ToString();
-  EXPECT_FALSE(explain.value().segments.empty());
-  return explain.value().segments[0].decision;
-}
-
-TEST(CostModelAdmissionTest, SelectiveFilterFlipsShortSpanRunAdmission) {
-  // 17-row value runs put the combined group+filter span estimate right at
-  // the heuristic's 8-row floor, so span length alone admits the run
-  // pipeline. The filter passes ~2% of spans: the model prices the span
-  // bookkeeping against a row path that touches almost nothing after the
-  // filter, and walks away.
-  const Table table = MakeSpanTable(/*rows=*/60000, /*span_rows=*/17);
-  const QuerySpec query = MakeSpanQuery(/*filter_lt=*/2);
-
-  ScanOptions heuristic;
-  const PlanDecision off = FirstDecision(table, query, heuristic);
-  ASSERT_TRUE(off.run_capable);
-  EXPECT_TRUE(off.run_admitted);  // span floor alone admits (12 >= 8)
-  EXPECT_EQ(off.aggregation, AggregationStrategy::kRunBased);
-
-  ScanOptions model;
-  model.overrides.cost_model = CostModelMode::kOn;
-  const PlanDecision on = FirstDecision(table, query, model);
-  ASSERT_EQ(on.cost_model_mode, CostModelMode::kOn);
-  // The model prices the selective filter and walks away from the run
-  // pipeline: the row path's predicted cycles/row must be what was chosen.
-  EXPECT_NE(on.aggregation, AggregationStrategy::kRunBased)
-      << "model kept run-based at cpr="
-      << on.model_total_cpr[static_cast<int>(AggregationStrategy::kRunBased)];
-  const double run_cpr =
-      on.model_total_cpr[static_cast<int>(AggregationStrategy::kRunBased)];
-  const double chosen_cpr =
-      on.model_total_cpr[static_cast<int>(on.aggregation)];
-  ASSERT_GE(run_cpr, 0.0);
-  ASSERT_GE(chosen_cpr, 0.0);
-  EXPECT_LT(chosen_cpr, run_cpr);
-
-  // Both plans still produce the oracle answer (never wrong, only slower).
-  auto expected = ExecuteQueryNaive(table, query);
-  ASSERT_TRUE(expected.ok());
-  auto got_off = ExecuteQuery(table, query, heuristic);
-  auto got_on = ExecuteQuery(table, query, model);
-  ASSERT_TRUE(got_off.ok());
-  ASSERT_TRUE(got_on.ok());
-  ASSERT_EQ(got_on.value().rows.size(), expected.value().rows.size());
-  for (size_t r = 0; r < expected.value().rows.size(); ++r) {
-    EXPECT_EQ(got_on.value().rows[r].group, expected.value().rows[r].group);
-    EXPECT_EQ(got_on.value().rows[r].count, expected.value().rows[r].count);
-    EXPECT_EQ(got_on.value().rows[r].sums, expected.value().rows[r].sums);
-    EXPECT_EQ(got_off.value().rows[r].sums, expected.value().rows[r].sums);
-  }
-}
-
-TEST(CostModelAdmissionTest, LongSpansStayRunBasedUnderTheModel) {
-  // ~6000 rows per span: span bookkeeping is ~free and both deciders agree.
-  const Table table = MakeSpanTable(/*rows=*/60000, /*span_rows=*/6000);
-  const QuerySpec query = MakeSpanQuery(/*filter_lt=*/5);
-
-  const PlanDecision off = FirstDecision(table, query, {});
-  EXPECT_EQ(off.aggregation, AggregationStrategy::kRunBased);
-
-  ScanOptions model;
-  model.overrides.cost_model = CostModelMode::kOn;
-  const PlanDecision on = FirstDecision(table, query, model);
-  EXPECT_EQ(on.aggregation, AggregationStrategy::kRunBased);
-}
-
-// --- explain determinism across profile loads and thread counts -------------
-
-TEST(CostModelExplainTest, JsonByteIdenticalAcrossLoadsAndThreadCounts) {
-  Table table({
-      {"g", ColumnType::kString},
-      {"v", ColumnType::kInt64, EncodingChoice::kBitPacked},
-      {"f", ColumnType::kInt64, EncodingChoice::kBitPacked},
-  });
-  TableAppender app(&table, /*segment_rows=*/1024);
-  Rng rng(909);
-  const char* groups[3] = {"x", "y", "z"};
-  for (size_t i = 0; i < 4000; ++i) {
-    std::vector<int64_t> ints(3, 0);
-    std::vector<std::string> strings(3);
-    strings[0] = groups[rng.NextBounded(3)];
-    ints[1] = rng.NextInRange(0, 5000);
-    ints[2] = rng.NextInRange(0, 99);
-    app.AppendRow(ints, strings);
-  }
-  app.Flush();
-  QuerySpec query;
-  query.group_by = {"g"};
-  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("v")};
-  query.filters.emplace_back("f", CompareOp::kLt, int64_t{30});
-
-  std::string reference;
-  // Two independent loads of the same serialized profile, three execution
-  // models each: every combination must render byte-identical JSON.
-  for (int load = 0; load < 2; ++load) {
-    const std::vector<uint8_t> image = SerializeProfile(BuiltinProfile());
-    auto parsed = ParseProfile(image.data(), image.size());
-    ASSERT_TRUE(parsed.ok());
-    const CalibrationProfile previous =
-        InstallProfileForProcess(parsed.value());
-    for (const size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
-      ScanOptions options;
-      options.num_threads = threads;
-      options.overrides.cost_model = CostModelMode::kOn;
-      BIPieScan scan(table, query, options);
-      auto explain = scan.Explain();
-      ASSERT_TRUE(explain.ok()) << explain.status().ToString();
-      const std::string json = explain.value().ToJson();
-      EXPECT_NE(json.find("\"cost_model\""), std::string::npos);
-      if (reference.empty()) {
-        reference = json;
-      } else {
-        EXPECT_EQ(json, reference)
-            << "load " << load << " threads " << threads;
-      }
-    }
-    InstallProfileForProcess(previous);
-  }
 }
 
 }  // namespace

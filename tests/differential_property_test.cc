@@ -170,20 +170,6 @@ TEST_P(DifferentialProperty, BIPieMatchesOracleOnRandomWorkloads) {
   ExpectAgreement(hashed.value(), expected.value(),
                   "hash seed=" + std::to_string(seed));
 
-  // Cost-model runs (DESIGN.md §17): the model only redirects among
-  // correct strategies, so it can never be wrong — only slower.
-  for (const CostModelMode mode :
-       {CostModelMode::kOn, CostModelMode::kAdaptive}) {
-    ScanOptions options;
-    options.overrides.cost_model = mode;
-    auto modeled = ExecuteQuery(c.table, c.query, options);
-    ASSERT_TRUE(modeled.ok())
-        << modeled.status().ToString() << " case:" << c.description;
-    ExpectAgreement(modeled.value(), expected.value(),
-                    std::string("cost_model=") + CostModelModeName(mode) +
-                        " seed=" + std::to_string(seed) + c.description);
-  }
-
   // Two pseudo-random forced combinations (skipping infeasible ones).
   Rng rng(seed + 5);
   const SelectionStrategy sels[3] = {SelectionStrategy::kGather,

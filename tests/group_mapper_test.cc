@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "common/aligned_buffer.h"
 #include "common/random.h"
 #include "storage/table.h"
 
@@ -37,10 +38,11 @@ Table MakeTable(size_t rows, uint64_t seed) {
 TEST(GroupMapperTest, NoGroupColumnsMapsToGroupZero) {
   Table table = MakeTable(100, 1);
   GroupMapper mapper;
+  AlignedBuffer scratch;
   ASSERT_TRUE(mapper.Bind(table.segment(0), {}).ok());
   EXPECT_EQ(mapper.num_groups(), 1);
   std::vector<uint8_t> out(100 + 32);
-  mapper.MapBatch(0, 100, out.data());
+  mapper.MapBatch(0, 100, out.data(), &scratch);
   for (size_t i = 0; i < 100; ++i) EXPECT_EQ(out[i], 0);
 }
 
@@ -48,10 +50,11 @@ TEST(GroupMapperTest, SingleStringColumn) {
   Table table = MakeTable(500, 2);
   const Segment& seg = table.segment(0);
   GroupMapper mapper;
+  AlignedBuffer scratch;
   ASSERT_TRUE(mapper.Bind(seg, {0}).ok());
   EXPECT_EQ(mapper.num_groups(), 3);
   std::vector<uint8_t> ids(500 + 32);
-  mapper.MapBatch(0, 500, ids.data());
+  mapper.MapBatch(0, 500, ids.data(), &scratch);
   // Cross-check against decoded ids.
   std::vector<int64_t> decoded(500);
   seg.column(0).DecodeInt64(0, 500, decoded.data());
@@ -70,10 +73,11 @@ TEST(GroupMapperTest, TwoColumnCombination) {
   Table table = MakeTable(2000, 3);
   const Segment& seg = table.segment(0);
   GroupMapper mapper;
+  AlignedBuffer scratch;
   ASSERT_TRUE(mapper.Bind(seg, {0, 1}).ok());
   EXPECT_EQ(mapper.num_groups(), 6);  // 3 flags x 2 statuses
   std::vector<uint8_t> ids(2000 + 32);
-  mapper.MapBatch(0, 2000, ids.data());
+  mapper.MapBatch(0, 2000, ids.data(), &scratch);
   std::vector<int64_t> flag(2000), status(2000);
   seg.column(0).DecodeInt64(0, 2000, flag.data());
   seg.column(1).DecodeInt64(0, 2000, status.data());
@@ -119,11 +123,12 @@ TEST(GroupMapperTest, RleGroupColumnGetsRunIds) {
   const Segment& seg = table.segment(0);
   ASSERT_EQ(seg.column(4).encoding(), Encoding::kRle);
   GroupMapper mapper;
+  AlignedBuffer scratch;
   ASSERT_TRUE(mapper.Bind(seg, {4}).ok());
   // Values are i / 100 over 300 rows -> 3 distinct run values.
   EXPECT_EQ(mapper.num_groups(), 3);
   std::vector<uint8_t> ids(300 + 32);
-  mapper.MapBatch(0, 300, ids.data());
+  mapper.MapBatch(0, 300, ids.data(), &scratch);
   std::vector<int64_t> decoded(300);
   seg.column(4).DecodeInt64(0, 300, decoded.data());
   for (size_t i = 0; i < 300; ++i) {
@@ -131,12 +136,13 @@ TEST(GroupMapperTest, RleGroupColumnGetsRunIds) {
   }
   // Windowed materialization matches too.
   std::vector<uint8_t> window(100 + 32);
-  mapper.MapBatch(150, 100, window.data());
+  mapper.MapBatch(150, 100, window.data(), &scratch);
   for (size_t i = 0; i < 100; ++i) ASSERT_EQ(window[i], ids[150 + i]);
   // Selected (gather) materialization agrees with the full map.
   std::vector<uint32_t> indices = {0, 3, 99, 100, 101, 240, 299};
   std::vector<uint8_t> selected(indices.size() + 32);
-  mapper.MapSelected(0, indices.data(), indices.size(), selected.data());
+  mapper.MapSelected(0, indices.data(), indices.size(), selected.data(),
+                     &scratch);
   for (size_t i = 0; i < indices.size(); ++i) {
     ASSERT_EQ(selected[i], ids[indices[i]]);
   }
@@ -164,14 +170,16 @@ TEST(GroupMapperTest, MapSelectedMatchesMapBatch) {
   Table table = MakeTable(4096 * 2, 7);
   const Segment& seg = table.segment(0);
   GroupMapper mapper;
+  AlignedBuffer scratch;
   ASSERT_TRUE(mapper.Bind(seg, {0, 1}).ok());
   // Batch window starting at 4096 with a sparse selection.
   std::vector<uint32_t> indices;
   for (uint32_t i = 0; i < 4096; i += 7) indices.push_back(i);
   std::vector<uint8_t> selected(indices.size() + 32);
-  mapper.MapSelected(4096, indices.data(), indices.size(), selected.data());
+  mapper.MapSelected(4096, indices.data(), indices.size(), selected.data(),
+                     &scratch);
   std::vector<uint8_t> all(4096 + 32);
-  mapper.MapBatch(4096, 4096, all.data());
+  mapper.MapBatch(4096, 4096, all.data(), &scratch);
   for (size_t i = 0; i < indices.size(); ++i) {
     ASSERT_EQ(selected[i], all[indices[i]]) << i;
   }

@@ -331,6 +331,36 @@ TEST(ScanTest, CrossSegmentSumOverflowIsReportedNotWrapped) {
   EXPECT_EQ(hashed.status().code(), StatusCode::kOverflowRisk);
 }
 
+TEST(ScanTest, EliminatingScanAgreesWithExplain) {
+  // x ascends, so `x < 3000` keeps the first three 1024-row segments and
+  // eliminates the other five; ExecuteChecked compares Explain() with that.
+  Table table({{"g", ColumnType::kInt64, EncodingChoice::kDictionary},
+               {"x", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  TableAppender app(&table, 1024);
+  for (int64_t i = 0; i < 8192; ++i) app.AppendRow({i % 4, i});
+  app.Flush();
+  QuerySpec query;
+  query.group_by = {"g"};
+  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("x")};
+  query.filters.emplace_back("x", CompareOp::kLt, int64_t{3000});
+  for (const size_t threads : {0, 1, 4}) {
+    ScanOptions options;
+    options.num_threads = threads;
+    auto got = test::ExecuteChecked(table, query, options);
+    ASSERT_TRUE(got.ok()) << "num_threads=" << threads << ": "
+                          << got.status().ToString();
+  }
+}
+
+TEST(ScanTest, NaiveOracleReportsSumOverflow) {
+  const Table table = MakeCrossSegmentSumTable(int64_t{1} << 60);
+  QuerySpec query;
+  query.aggregates = {AggregateSpec::Sum("v")};
+  auto naive = ExecuteQueryNaive(table, query);
+  ASSERT_FALSE(naive.ok()) << "sum " << naive.value().rows[0].sums[0];
+  EXPECT_EQ(naive.status().code(), StatusCode::kOverflowRisk);
+}
+
 TEST(ScanTest, NearLimitCrossSegmentSumIsExact) {
   // The largest value twelve of which still fit int64.
   const int64_t value = std::numeric_limits<int64_t>::max() / 12;

@@ -14,6 +14,7 @@
 #include "core/query.h"
 #include "core/scan.h"
 #include "encoding/bitpack.h"
+#include "obs/plan_explain.h"
 #include "storage/table.h"
 
 namespace bipie::test {
@@ -238,8 +239,57 @@ struct StatsInvariants {
   }
 };
 
-// ExecuteQuery with the stats invariants asserted on every successful scan:
-// a violation surfaces as an Internal error carrying the violation text, so
+// Differences between what Explain() renders for `scan` and what its last
+// successful Execute() ran: the outcome kind, the segment counts and the
+// per-strategy count of planned segments. Empty means they agree.
+inline std::vector<std::string> ExplainDisagreements(const BIPieScan& scan) {
+  std::vector<std::string> v;
+  Result<PlanExplain> explain = scan.Explain();
+  if (!explain.ok()) {
+    v.push_back("Explain failed: " + explain.status().ToString());
+    return v;
+  }
+  const PlanExplain& e = explain.value();
+  const ScanStats& stats = scan.stats();
+  if (e.plan_error) {
+    v.push_back("explain reports an error: " + e.plan_error_text);
+  }
+  if (e.hash_fallback != stats.used_hash_fallback) {
+    v.push_back(std::string("explain hash fallback ") +
+                (e.hash_fallback ? "yes" : "no") + " but the scan " +
+                (stats.used_hash_fallback ? "fell back" : "did not"));
+  }
+  if (e.segments_scanned != stats.segments_scanned ||
+      e.segments_eliminated != stats.segments_eliminated) {
+    v.push_back("explain segments scanned/eliminated " +
+                std::to_string(e.segments_scanned) + "/" +
+                std::to_string(e.segments_eliminated) + " vs executed " +
+                std::to_string(stats.segments_scanned) + "/" +
+                std::to_string(stats.segments_eliminated));
+  }
+  if (!stats.used_hash_fallback) {
+    size_t planned[kNumAggregationStrategies] = {0};
+    for (const SegmentExplain& seg : e.segments) {
+      if (!seg.eliminated && seg.bind_ok) {
+        ++planned[static_cast<int>(seg.decision.aggregation)];
+      }
+    }
+    for (size_t a = 0; a < kNumAggregationStrategies; ++a) {
+      if (planned[a] != stats.aggregation_segments[a]) {
+        v.push_back("explain plans " + std::to_string(planned[a]) + " " +
+                    AggregationStrategyName(
+                        static_cast<AggregationStrategy>(a)) +
+                    " segments, the scan ran " +
+                    std::to_string(stats.aggregation_segments[a]));
+      }
+    }
+  }
+  return v;
+}
+
+// ExecuteQuery with the stats invariants asserted on every successful scan,
+// and Explain() checked against what ran (ExplainDisagreements): a
+// violation surfaces as an Internal error carrying the violation text, so
 // existing ASSERT_TRUE(got.ok()) call sites report it verbatim. Error-path
 // expectations (kNotSupported, kOverflowRisk, ...) are unaffected — those
 // scans never reach the check.
@@ -248,10 +298,18 @@ inline Result<QueryResult> ExecuteChecked(const Table& table, QuerySpec query,
   BIPieScan scan(table, query, options);
   Result<QueryResult> result = scan.Execute();
   if (result.ok()) {
-    const std::vector<std::string> violations =
+    std::vector<std::string> violations =
         StatsInvariants::Check(scan.stats(), query, table, &result.value());
     if (!violations.empty()) {
       return Status::Internal(StatsInvariants::Describe(violations));
+    }
+    violations = ExplainDisagreements(scan);
+    if (!violations.empty()) {
+      std::string text;
+      for (const std::string& m : violations) {
+        text += "explain disagrees with execution: " + m + "\n";
+      }
+      return Status::Internal(text);
     }
   }
   // Tracker-balance invariant (DESIGN.md §13): whether the scan succeeded

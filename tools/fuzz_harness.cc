@@ -360,30 +360,6 @@ std::vector<Plan> MakePlans(const CaseParams& p) {
     plan.options.overrides.byteslice = on;
     plans.push_back(std::move(plan));
   }
-  // Cost-model differential (DESIGN.md §17): adaptive plans with the model
-  // consulted for strategy choice and byteslice admission, under the same
-  // execution models as the plain adaptive plan. The model only redirects
-  // among correct strategies, so results must stay byte-identical.
-  if (p.cost_model != 0) {
-    const CostModelMode mode = p.cost_model == 1 ? CostModelMode::kOn
-                                                 : CostModelMode::kAdaptive;
-    const std::string mode_name = CostModelModeName(mode);
-    Plan t1{"cost-model-" + mode_name + "/t1", {}};
-    t1.options.overrides.cost_model = mode;
-    plans.push_back(std::move(t1));
-    if (p.num_threads == 0) {
-      Plan pool{"cost-model-" + mode_name + "/pool", {}};
-      pool.options.num_threads = 0;
-      pool.options.overrides.cost_model = mode;
-      plans.push_back(std::move(pool));
-    } else if (p.num_threads > 1) {
-      Plan mt{"cost-model-" + mode_name + "/t" + std::to_string(p.num_threads),
-              {}};
-      mt.options.num_threads = p.num_threads;
-      mt.options.overrides.cost_model = mode;
-      plans.push_back(std::move(mt));
-    }
-  }
   return plans;
 }
 
@@ -401,8 +377,7 @@ std::string CaseParams::ToString() const {
      << " cancel_after=" << cancel_after
      << " failpoint_prob=" << failpoint_prob
      << " sorted_fraction=" << sorted_fraction
-     << " memory_limit=" << memory_limit
-     << " cost_model=" << cost_model;
+     << " memory_limit=" << memory_limit;
   return os.str();
 }
 
@@ -460,11 +435,6 @@ CaseParams MakeCaseParams(uint64_t seed) {
   // kResourceExhausted path and the governed-success path stay hot.
   p.memory_limit =
       rng.NextBernoulli(0.2) ? 4096 + rng.NextBounded(uint64_t{1} << 22) : 0;
-  // Cost-model consultation sweeps all three modes evenly, so model-driven
-  // admission (strategy choice, byteslice, run pipeline) diffs against the
-  // oracle across the whole shape matrix. Drawn last: earlier fields keep
-  // their per-seed values from before the knob existed.
-  p.cost_model = static_cast<int>(rng.NextBounded(3));
   return p;
 }
 
@@ -512,8 +482,6 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
         p.sorted_fraction = std::stod(val);
       } else if (key == "memory_limit") {
         p.memory_limit = std::stoull(val);
-      } else if (key == "cost_model") {
-        p.cost_model = std::stoi(val);
       } else {
         *error = "unknown key: " + key;
         return false;
@@ -704,7 +672,6 @@ CaseParams Shrink(const CaseParams& p) {
     if (best.memory_limit > 0) {
       add([](CaseParams& c) { c.memory_limit = 0; });
     }
-    if (best.cost_model != 0) add([](CaseParams& c) { c.cost_model = 0; });
     if (best.num_threads != 1) add([](CaseParams& c) { c.num_threads = 1; });
     for (const CaseParams& c : candidates) {
       if (!RunOneCase(c, &scratch)) {  // still fails -> keep the reduction

@@ -68,11 +68,6 @@ struct CaseParams {
                               // kResourceExhausted — never a partial
                               // aggregate, never a crash — with the query
                               // tracker balanced at zero afterwards
-  int cost_model = 0;  // 0 = off, 1 = on, 2 = adaptive: >0 adds adaptive
-                       // plans that consult the calibrated cost model
-                       // (DESIGN.md §17) for strategy and byteslice
-                       // admission — model-driven plans must stay
-                       // byte-identical to the oracle like every other plan
 
   // Replay line, e.g. "seed=42 rows=375 segment_rows=128 ...". Parsed back
   // by ParseCaseParams.
