@@ -1,7 +1,9 @@
 // Real-time streaming analytics over a hybrid table (§2.1's full
-// architecture): inserts land in an uncompressed mutable region, a merge
-// compresses them into encoded immutable segments, and queries always see
-// both regions — fresh rows included, no waiting for compression.
+// architecture): inserts land in a mutable region (plain int values and
+// string dictionary ids), a merge compresses them into encoded immutable
+// segments, and every query is one BIPie scan over both regions. The
+// pending rows join that scan as one more segment, built for the query, so
+// fresh rows are visible with no wait for compression.
 #include <cinttypes>
 #include <cstdio>
 

@@ -39,7 +39,7 @@ Status GroupMapper::Bind(const Segment& segment,
       for (const RleRun& run : col.runs()) {
         const uint32_t id =
             run_dict.GetOrInsert(static_cast<int64_t>(run.value));
-        if (run_dict.size() > 255) {
+        if (run_dict.size() > kMaxGroups) {
           return Status::NotSupported(
               "RLE group-by column has more than 255 distinct run values");
         }
@@ -49,12 +49,18 @@ Status GroupMapper::Bind(const Segment& segment,
       bound.cardinality = static_cast<uint32_t>(bound.rle_values.size());
       if (bound.cardinality == 0) bound.cardinality = 1;
     } else {
+      // Reject a wide column before narrowing its bound: a bit-packed range
+      // above 2^32 would wrap, and the full int64 range wraps id_bound()
+      // itself to 0.
       const uint64_t card = col.id_bound();
-      if (card == 0) return Status::Internal("empty id domain");
+      if (card == 0 || card > kMaxGroups) {
+        return Status::NotSupported(
+            "combined group-by cardinality exceeds 255");
+      }
       bound.cardinality = static_cast<uint32_t>(card);
     }
     combined *= bound.cardinality;
-    if (combined > 255) {
+    if (combined > kMaxGroups) {
       return Status::NotSupported(
           "combined group-by cardinality exceeds 255");
     }

@@ -32,6 +32,10 @@ struct GroupRunSpan {
 
 class GroupMapper {
  public:
+  // The most groups one segment binds: group ids are single bytes, and one
+  // id stays free for the special group.
+  static constexpr uint64_t kMaxGroups = 255;
+
   GroupMapper() = default;
 
   // Binds to one segment's group-by columns (0, 1 or 2 indices). Group

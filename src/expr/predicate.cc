@@ -564,9 +564,13 @@ Status ColumnPredicate::Evaluate(const EncodedColumn& col, size_t start,
       if (word == 1) {
         const uint8_t* ids = UnpackScratch().data();
         for (size_t i = 0; i < n; ++i) sel_out[i] = verdict[ids[i]];
-      } else {
-        BIPIE_DCHECK(word == 2);  // dictionaries are capped at 2^16 entries
+      } else if (word == 2) {
         const uint16_t* ids = UnpackScratch().data_as<uint16_t>();
+        for (size_t i = 0; i < n; ++i) sel_out[i] = verdict[ids[i]];
+      } else {
+        // Only string dictionaries exceed 2^16 entries (int ones are capped).
+        BIPIE_DCHECK(word == 4);
+        const uint32_t* ids = UnpackScratch().data_as<uint32_t>();
         for (size_t i = 0; i < n; ++i) sel_out[i] = verdict[ids[i]];
       }
       return Status::OK();

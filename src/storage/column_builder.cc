@@ -1,8 +1,9 @@
 #include "storage/column_builder.h"
 
 #include <algorithm>
-#include <string_view>
+#include <cstring>
 #include <unordered_set>
+#include <utility>
 
 #include "common/bits.h"
 #include "encoding/bitpack.h"
@@ -31,6 +32,9 @@ struct IntStats {
   size_t rle_bytes = 0;
   int64_t dmin = 0;
   int64_t dmax = 0;
+  // False when a successive difference overflows int64: delta cannot store
+  // the column.
+  bool delta_feasible = true;
   int delta_bits = 1;
   size_t delta_bytes = 0;
   bool dict_feasible = false;
@@ -61,9 +65,12 @@ IntStats ComputeIntStats(const std::vector<int64_t>& values,
   if (needed == StatsNeeded::kRange) return st;
 
   if (st.n > 1) {
-    st.dmin = st.dmax = values[1] - values[0];
-    for (size_t i = 2; i < st.n; ++i) {
-      const int64_t d = values[i] - values[i - 1];
+    st.delta_feasible =
+        !__builtin_sub_overflow(values[1], values[0], &st.dmin);
+    st.dmax = st.dmin;
+    for (size_t i = 2; i < st.n && st.delta_feasible; ++i) {
+      int64_t d = 0;
+      st.delta_feasible = !__builtin_sub_overflow(values[i], values[i - 1], &d);
       st.dmin = std::min(st.dmin, d);
       st.dmax = std::max(st.dmax, d);
     }
@@ -95,6 +102,40 @@ IntStats ComputeIntStats(const std::vector<int64_t>& values,
   return st;
 }
 
+// Writes values[i] - base as Words: the bit-packed stream of width
+// 8 * sizeof(Word).
+template <typename Word, typename T>
+void NarrowWords(const T* values, size_t n, uint64_t base, uint8_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const Word word =
+        static_cast<Word>(static_cast<uint64_t>(values[i]) - base);
+    std::memcpy(out + i * sizeof(Word), &word, sizeof(Word));
+  }
+}
+
+// Writes values[i] - base into `packed` at the narrowest byte-aligned width
+// that holds `max_offset`. Returns that width in bits, or 0 when the
+// tracker refuses the buffer.
+template <typename T>
+int WriteByteAligned(const T* values, size_t n, uint64_t base,
+                     uint64_t max_offset, AlignedBuffer* packed) {
+  const int bytes = SmallestWordBytes(BitsRequired(max_offset));
+  if (!packed->TryResize(n * bytes)) return 0;
+  uint8_t* out = packed->data();
+  switch (bytes) {
+    case 1: NarrowWords<uint8_t>(values, n, base, out); break;
+    case 2: NarrowWords<uint16_t>(values, n, base, out); break;
+    case 4: NarrowWords<uint32_t>(values, n, base, out); break;
+    default: NarrowWords<uint64_t>(values, n, base, out); break;
+  }
+  return 8 * bytes;
+}
+
+Status RegionLimit() {
+  return Status::ResourceExhausted(
+      "mutable region segment exceeds the memory limit");
+}
+
 // The EncodingChoice::kAuto tie-break, on precomputed stats.
 Encoding AutoPick(const IntStats& st) {
   // Usefulness tie-break: RLE must win by 2x to be chosen (it is the
@@ -103,7 +144,8 @@ Encoding AutoPick(const IntStats& st) {
   if (st.rle_bytes * 2 < std::min(st.for_bytes, st.dict_bytes)) {
     return Encoding::kRle;
   }
-  if (st.delta_bytes * 2 < std::min(st.for_bytes, st.dict_bytes)) {
+  if (st.delta_feasible &&
+      st.delta_bytes * 2 < std::min(st.for_bytes, st.dict_bytes)) {
     // Delta must win big: it decodes sequentially and is the least
     // useful representation for vectorized processing.
     return Encoding::kDelta;
@@ -116,7 +158,9 @@ Encoding AutoPick(const IntStats& st) {
 
 }  // namespace
 
-ColumnBuilder::ColumnBuilder(ColumnSpec spec) : spec_(std::move(spec)) {}
+ColumnBuilder::ColumnBuilder(ColumnSpec spec)
+    : spec_(std::move(spec)),
+      str_dict_(std::make_shared<StringDictionary>()) {}
 
 void ColumnBuilder::AppendInt64(int64_t value) {
   BIPIE_DCHECK(spec_.type == ColumnType::kInt64);
@@ -125,7 +169,7 @@ void ColumnBuilder::AppendInt64(int64_t value) {
 
 void ColumnBuilder::AppendString(const std::string& value) {
   BIPIE_DCHECK(spec_.type == ColumnType::kString);
-  str_values_.push_back(value);
+  str_ids_.push_back(str_dict_->GetOrInsert(value));
 }
 
 void ColumnBuilder::AppendInt64Bulk(const int64_t* values, size_t n) {
@@ -133,16 +177,27 @@ void ColumnBuilder::AppendInt64Bulk(const int64_t* values, size_t n) {
   int_values_.insert(int_values_.end(), values, values + n);
 }
 
-void ColumnBuilder::AppendStringBulk(const std::string* values, size_t n) {
+void ColumnBuilder::AppendIds(const uint32_t* ids, size_t n,
+                              const StringDictionary& dictionary) {
   BIPIE_DCHECK(spec_.type == ColumnType::kString);
-  str_values_.insert(str_values_.end(), values, values + n);
+  constexpr uint64_t kUnmapped = ~uint64_t{0};
+  std::vector<uint64_t> remap(dictionary.size(), kUnmapped);
+  const size_t first = str_ids_.size();
+  str_ids_.resize(first + n);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t& id = remap[ids[i]];
+    if (id == kUnmapped) {
+      id = str_dict_->GetOrInsert(dictionary.value(ids[i]));
+    }
+    str_ids_[first + i] = id;
+  }
 }
 
 EncodedColumn ColumnBuilder::Finish() {
   EncodedColumn out = spec_.type == ColumnType::kString ? FinishString()
                                                         : FinishInt();
   int_values_.clear();
-  str_values_.clear();
+  str_ids_.clear();
   return out;
 }
 
@@ -181,6 +236,10 @@ EncodedColumn ColumnBuilder::FinishInt() {
   }
   const IntStats st = ComputeIntStats(int_values_, needed);
   if (needed == StatsNeeded::kAll) pick = AutoPick(st);
+  // A forced delta column whose differences overflow is bit-packed instead.
+  if (pick == Encoding::kDelta && !st.delta_feasible) {
+    pick = Encoding::kBitPacked;
+  }
   col.meta_.min = st.min;
   col.meta_.max = st.max;
   const int for_bits = st.for_bits;
@@ -260,22 +319,66 @@ EncodedColumn ColumnBuilder::FinishInt() {
   return col;
 }
 
+Result<EncodedColumn> ColumnBuilder::ByteAlignedInts(const int64_t* values,
+                                                     size_t n, int64_t min,
+                                                     int64_t max) {
+  EncodedColumn col;
+  col.encoding_ = Encoding::kBitPacked;
+  col.meta_ = {min, max, n};
+  col.base_ = min;
+  const uint64_t base = static_cast<uint64_t>(min);
+  col.bit_width_ = WriteByteAligned(
+      values, n, base, static_cast<uint64_t>(max) - base, &col.packed_);
+  if (col.bit_width_ == 0) return RegionLimit();
+  return col;
+}
+
+Result<EncodedColumn> ColumnBuilder::ByteIdInts(const int64_t* values,
+                                                size_t n, int64_t min,
+                                                int64_t max) {
+  EncodedColumn col;
+  col.encoding_ = Encoding::kDictionary;
+  col.meta_ = {min, max, n};
+  col.bit_width_ = 8;
+  if (!col.packed_.TryResize(n)) return RegionLimit();
+  auto dict = std::make_shared<IntDictionary>();
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t id = dict->GetOrInsert(values[i]);
+    if (id > 255) return Status::NotSupported("more than 256 distinct values");
+    col.packed_.data()[i] = static_cast<uint8_t>(id);
+  }
+  col.int_dict_ = std::move(dict);
+  return col;
+}
+
+Result<EncodedColumn> ColumnBuilder::ByteAlignedIds(
+    const uint32_t* ids, size_t n,
+    std::shared_ptr<StringDictionary> dictionary) {
+  EncodedColumn col;
+  col.type_ = ColumnType::kString;
+  col.encoding_ = Encoding::kDictionary;
+  // String metadata tracks the id range, as in FinishString.
+  col.meta_ = {0, static_cast<int64_t>(dictionary->size()) - 1, n};
+  col.bit_width_ = WriteByteAligned(ids, n, 0, dictionary->size() - 1,
+                                    &col.packed_);
+  if (col.bit_width_ == 0) return RegionLimit();
+  col.str_dict_ = std::move(dictionary);
+  return col;
+}
+
 EncodingAdvice ColumnBuilder::Advise(const cost::CostModel& model) const {
   EncodingAdvice advice;
   if (spec_.type == ColumnType::kString) {
     // Strings only encode as dictionary; the advice is the scan cost of the
     // id stream (width set by the distinct count, bounded by n).
-    const size_t n = str_values_.size();
-    std::unordered_set<std::string_view> distinct;
-    for (const std::string& s : str_values_) distinct.insert(s);
+    const size_t n = str_ids_.size();
     advice.num_rows = n;
-    advice.distinct = distinct.size();
+    advice.distinct = str_dict_->size();
     advice.run_count = n > 0 ? 1 : 0;
     for (size_t i = 1; i < n; ++i) {
-      advice.run_count += str_values_[i] != str_values_[i - 1];
+      advice.run_count += str_ids_[i] != str_ids_[i - 1];
     }
-    const int bits =
-        n == 0 ? 1 : BitsRequired(distinct.empty() ? 0 : distinct.size() - 1);
+    const int bits = n == 0 ? 1 : BitsRequired(str_dict_->size() - 1);
     EncodingCandidate cand;
     cand.encoding = Encoding::kDictionary;
     cand.feasible = true;
@@ -314,7 +417,7 @@ EncodingAdvice ColumnBuilder::Advise(const cost::CostModel& model) const {
   add(Encoding::kBitPacked, true, st.for_bits, st.for_bytes, 1);
   add(Encoding::kDictionary, st.dict_feasible, st.dict_bits, st.dict_bytes, 1);
   add(Encoding::kRle, true, 64, st.rle_bytes, st.run_count);
-  add(Encoding::kDelta, true, st.delta_bits, st.delta_bytes, 1);
+  add(Encoding::kDelta, st.delta_feasible, st.delta_bits, st.delta_bytes, 1);
   add(Encoding::kByteSliced, true, st.for_bits,
       ByteSliceBytes(st.n, st.for_bits), 1);
 
@@ -334,21 +437,19 @@ EncodingAdvice ColumnBuilder::Advise(const cost::CostModel& model) const {
 }
 
 EncodedColumn ColumnBuilder::FinishString() {
-  const size_t n = str_values_.size();
+  const size_t n = str_ids_.size();
   EncodedColumn col;
   col.type_ = ColumnType::kString;
   col.encoding_ = Encoding::kDictionary;
   col.meta_.num_rows = n;
-  auto dict = std::make_shared<StringDictionary>();
-  std::vector<uint64_t> ids(n);
-  for (size_t i = 0; i < n; ++i) ids[i] = dict->GetOrInsert(str_values_[i]);
-  col.bit_width_ = n == 0 ? 1 : BitsRequired(dict->size() - 1);
+  col.bit_width_ = n == 0 ? 1 : BitsRequired(str_dict_->size() - 1);
   // Metadata for a string column tracks the id range.
   col.meta_.min = 0;
-  col.meta_.max = n == 0 ? 0 : static_cast<int64_t>(dict->size()) - 1;
-  col.str_dict_ = std::move(dict);
+  col.meta_.max = n == 0 ? 0 : static_cast<int64_t>(str_dict_->size()) - 1;
+  col.str_dict_ =
+      std::exchange(str_dict_, std::make_shared<StringDictionary>());
   col.packed_.Resize(BitPackedBytes(n, col.bit_width_) + 8);
-  if (n > 0) BitPack(ids.data(), n, col.bit_width_, col.packed_.data());
+  if (n > 0) BitPack(str_ids_.data(), n, col.bit_width_, col.packed_.data());
   return col;
 }
 

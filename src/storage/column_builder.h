@@ -9,9 +9,11 @@
 #ifndef BIPIE_STORAGE_COLUMN_BUILDER_H_
 #define BIPIE_STORAGE_COLUMN_BUILDER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "cost/cost_model.h"
 #include "storage/encoded_column.h"
 #include "storage/types.h"
@@ -55,10 +57,13 @@ class ColumnBuilder {
   void AppendString(const std::string& value);
 
   void AppendInt64Bulk(const int64_t* values, size_t n);
-  void AppendStringBulk(const std::string* values, size_t n);
+  // Appends the strings `dictionary` holds at `ids[0..n)`, re-coding each
+  // distinct id once into this segment's dictionary.
+  void AppendIds(const uint32_t* ids, size_t n,
+                 const StringDictionary& dictionary);
 
   size_t num_rows() const {
-    return spec_.type == ColumnType::kString ? str_values_.size()
+    return spec_.type == ColumnType::kString ? str_ids_.size()
                                              : int_values_.size();
   }
 
@@ -71,13 +76,34 @@ class ColumnBuilder {
   // the trivial dictionary-only advice (the only string encoding).
   EncodingAdvice Advise(const cost::CostModel& model) const;
 
+  // Columns of the per-query mutable-region segment (storage/
+  // hybrid_table.h): byte-aligned streams, which every kernel reads,
+  // written in one pass. Buffers are charged to the thread-current
+  // tracker; kResourceExhausted when a limit refuses one.
+  //
+  // An int column bit-packed over `min`; [min, max] is values' exact range.
+  static Result<EncodedColumn> ByteAlignedInts(const int64_t* values,
+                                               size_t n, int64_t min,
+                                               int64_t max);
+  // An int column dictionary-coded in first-occurrence order with one-byte
+  // ids; kNotSupported when values[0..n) hold more than 256 distinct values.
+  static Result<EncodedColumn> ByteIdInts(const int64_t* values, size_t n,
+                                          int64_t min, int64_t max);
+  // A string column: ids[0..n) into `dictionary`, which the column shares.
+  static Result<EncodedColumn> ByteAlignedIds(
+      const uint32_t* ids, size_t n,
+      std::shared_ptr<StringDictionary> dictionary);
+
  private:
   EncodedColumn FinishInt();
   EncodedColumn FinishString();
 
   ColumnSpec spec_;
   std::vector<int64_t> int_values_;
-  std::vector<std::string> str_values_;
+  // A string column is built as its finished form: the segment's
+  // first-occurrence dictionary plus one id per row.
+  std::shared_ptr<StringDictionary> str_dict_;
+  std::vector<uint64_t> str_ids_;
 };
 
 }  // namespace bipie

@@ -5,16 +5,21 @@
 // or modified. It is compressed into the immutable region by a background
 // task." Here the merge is an explicit (or threshold-triggered) call —
 // deterministic where MemSQL's is asynchronous, which keeps tests exact.
-// The region is an append buffer with one plain value vector per column;
-// rows are encoded into segments only by Merge().
+// The region is an append buffer by column: plain int64 values (with a
+// running min/max) for an int column, ids into one region dictionary for a
+// string column. Rows are encoded into segments only by Merge().
 //
-// Queries against a HybridTable run BIPie over the immutable segments and
-// a row-at-a-time evaluator over the (small) mutable region, merging the
-// two partial results by group value — the real-time-analytics contract
-// that freshly inserted rows are visible immediately, before any merge.
+// A query against a HybridTable is one BIPie scan: the pending rows become
+// one more read-only segment, built for that query alone. Fresh rows are
+// visible immediately, before any merge (the real-time-analytics
+// contract), and go through the same planning, segment elimination,
+// kernels and hash fallback as encoded rows.
 #ifndef BIPIE_STORAGE_HYBRID_TABLE_H_
 #define BIPIE_STORAGE_HYBRID_TABLE_H_
 
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,20 +64,40 @@ class HybridTable {
                                                 const QuerySpec&,
                                                 ScanOptions);
 
+  // One schema column of the mutable region.
+  struct RegionColumn {
+    // Int column: the values and their exact range.
+    std::vector<int64_t> ints;
+    int64_t min = std::numeric_limits<int64_t>::max();
+    int64_t max = std::numeric_limits<int64_t>::min();
+    // String column: ids into `dictionary`, in first-insertion order.
+    std::vector<uint32_t> ids;
+    std::shared_ptr<StringDictionary> dictionary;
+  };
+
+  // Empties the region; string columns start a new dictionary.
+  void ResetRegion();
+
+  // The pending rows as one read-only segment for `query` (null when there
+  // are none): each int column bit-packed at a byte-aligned width over its
+  // region min (or, for a group-by column that would give more than 255
+  // groups, dictionary-coded), each string column dictionary-coded over the
+  // region dictionary. Its buffers are charged to `tracker` (null: the
+  // thread-current one); kResourceExhausted when a limit refuses them.
+  Result<std::shared_ptr<Segment>> RegionSegment(
+      const QuerySpec& query, MemoryTracker* tracker) const;
+
   Schema schema_;
   Table immutable_;
   size_t segment_rows_;
   size_t merge_threshold_;
-  // The mutable region, by column: int column c holds its values in
-  // region_ints_[c], string column c in region_strings_[c]; the vector of
-  // the other type stays empty.
   size_t mutable_rows_ = 0;
-  std::vector<std::vector<int64_t>> region_ints_;
-  std::vector<std::vector<std::string>> region_strings_;
+  std::vector<RegionColumn> region_;
 };
 
-// Executes the BIPie workload shape over immutable + mutable regions. A SUM
-// that does not fit int64 returns kOverflowRisk.
+// Executes the BIPie workload shape over immutable + mutable regions, as
+// one scan with the region as its last segment. A SUM that does not fit
+// int64 returns kOverflowRisk.
 Result<QueryResult> ExecuteQueryHybrid(const HybridTable& table,
                                        const QuerySpec& query,
                                        ScanOptions options = {});

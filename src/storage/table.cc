@@ -4,6 +4,11 @@
 
 namespace bipie {
 
+Table::Table(const Table& base, std::shared_ptr<Segment> extra)
+    : schema_(base.schema_), segments_(base.segments_) {
+  if (extra != nullptr) segments_.push_back(std::move(extra));
+}
+
 int Table::FindColumn(const std::string& name) const {
   for (size_t i = 0; i < schema_.size(); ++i) {
     if (schema_[i].name == name) return static_cast<int>(i);
@@ -67,8 +72,9 @@ void TableAppender::AppendChunk(const std::vector<ColumnChunk>& columns,
     const size_t take = std::min(room, n);
     for (size_t c = 0; c < columns.size(); ++c) {
       if (schema[c].type == ColumnType::kString) {
-        BIPIE_DCHECK(columns[c].strings != nullptr);
-        builders_[c].AppendStringBulk(columns[c].strings + offset, take);
+        BIPIE_DCHECK(columns[c].ids != nullptr);
+        builders_[c].AppendIds(columns[c].ids + offset, take,
+                               *columns[c].dictionary);
       } else {
         BIPIE_DCHECK(columns[c].ints != nullptr);
         builders_[c].AppendInt64Bulk(columns[c].ints + offset, take);

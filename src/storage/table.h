@@ -22,6 +22,11 @@ class Table {
  public:
   explicit Table(Schema schema) : schema_(std::move(schema)) {}
 
+  // A view for one query: shares `base`'s segments and appends `extra`
+  // when it is non-null. ExecuteQueryHybrid scans the mutable region this
+  // way, as one more segment (storage/hybrid_table.h).
+  Table(const Table& base, std::shared_ptr<Segment> extra);
+
   Table(Table&&) = default;
   Table& operator=(Table&&) = default;
   BIPIE_DISALLOW_COPY_AND_ASSIGN(Table);
@@ -43,7 +48,7 @@ class Table {
   }
 
   void AddSegment(Segment segment) {
-    segments_.push_back(std::make_unique<Segment>(std::move(segment)));
+    segments_.push_back(std::make_shared<Segment>(std::move(segment)));
   }
 
   // Deep validation of every segment against the schema: column counts and
@@ -62,18 +67,20 @@ class Table {
 
  private:
   Schema schema_;
-  std::vector<std::unique_ptr<Segment>> segments_;
+  std::vector<std::shared_ptr<Segment>> segments_;
 };
 
 // One column of a columnar chunk for TableAppender::AppendChunk: int64
-// values for an int column, strings for a string column. Implicit, so a
-// chunk is written {ints.data(), names.data()}.
+// values for an int column, ids into a dictionary for a string column. The
+// int form is implicit, so an all-int chunk is written {a.data(), b.data()}.
 struct ColumnChunk {
   ColumnChunk(const int64_t* values) : ints(values) {}
-  ColumnChunk(const std::string* values) : strings(values) {}
+  ColumnChunk(const uint32_t* ids, const StringDictionary* dictionary)
+      : ids(ids), dictionary(dictionary) {}
 
   const int64_t* ints = nullptr;
-  const std::string* strings = nullptr;
+  const uint32_t* ids = nullptr;
+  const StringDictionary* dictionary = nullptr;
 };
 
 // Streams rows (or columnar chunks) into a table, cutting a new encoded

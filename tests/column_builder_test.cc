@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/random.h"
@@ -92,6 +93,22 @@ TEST(ColumnBuilderTest, DeltaSingleValueAndConstant) {
   for (int i = 0; i < 100; ++i) b.AppendInt64(-7);
   EncodedColumn constant = b.Finish();
   EXPECT_EQ(DecodeAll(constant), std::vector<int64_t>(100, -7));
+}
+
+TEST(ColumnBuilderTest, DeltaNeverStoresOverflowingDifferences) {
+  // Successive differences beyond int64: delta cannot store them, so
+  // neither kAuto nor a forced kDelta picks it.
+  const std::vector<int64_t> v = {std::numeric_limits<int64_t>::min(), 5,
+                                  std::numeric_limits<int64_t>::max(), -3};
+  for (const EncodingChoice choice :
+       {EncodingChoice::kAuto, EncodingChoice::kDelta}) {
+    ColumnBuilder b({"c", ColumnType::kInt64, choice});
+    for (int64_t x : v) b.AppendInt64(x);
+    EncodedColumn col = b.Finish();
+    EXPECT_NE(col.encoding(), Encoding::kDelta);
+    EXPECT_TRUE(col.Validate().ok()) << col.Validate().ToString();
+    EXPECT_EQ(DecodeAll(col), v);
+  }
 }
 
 TEST(ColumnBuilderTest, AutoPicksDeltaForMonotonicSequences) {

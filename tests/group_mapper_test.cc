@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/aligned_buffer.h"
@@ -163,6 +164,20 @@ TEST(GroupMapperTest, RejectsOversizedCardinality) {
   app.Flush();
   GroupMapper wide_mapper;
   EXPECT_EQ(wide_mapper.Bind(wide.segment(0), {0}).code(),
+            StatusCode::kNotSupported);
+  // Bit-packed columns with three values over 2^32 + 1 and 2^64 offsets:
+  // their id bounds must not wrap into an accepted cardinality.
+  Table ranges({{"huge", ColumnType::kInt64, EncodingChoice::kBitPacked},
+                {"full", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  TableAppender ranges_app(&ranges, 4096);
+  ranges_app.AppendRow({0, std::numeric_limits<int64_t>::min()});
+  ranges_app.AppendRow({int64_t{1} << 31, 0});
+  ranges_app.AppendRow({int64_t{1} << 32, std::numeric_limits<int64_t>::max()});
+  ranges_app.Flush();
+  GroupMapper ranges_mapper;
+  EXPECT_EQ(ranges_mapper.Bind(ranges.segment(0), {0}).code(),
+            StatusCode::kNotSupported);
+  EXPECT_EQ(ranges_mapper.Bind(ranges.segment(0), {1}).code(),
             StatusCode::kNotSupported);
 }
 

@@ -4,10 +4,12 @@
 
 #include <limits>
 #include <string>
+#include <thread>
 
 #include "baseline/hash_agg.h"
 #include "baseline/scalar_engine.h"
 #include "common/random.h"
+#include "obs/metrics.h"
 
 namespace bipie {
 namespace {
@@ -290,6 +292,252 @@ TEST(HybridTableTest, RandomStepsMatchHashOracle) {
       }
     }
   }
+}
+
+// Rows fed both to a HybridTable and, row by row, to an oracle Table.
+// Nothing merges unless a test calls Merge().
+class RegionOracle {
+ public:
+  explicit RegionOracle(Schema schema, size_t segment_rows = 1 << 20)
+      : schema_(schema), hybrid_(std::move(schema), segment_rows) {
+    hybrid_.set_merge_threshold(SIZE_MAX);
+  }
+
+  HybridTable& hybrid() { return hybrid_; }
+
+  void Insert(const std::vector<int64_t>& ints,
+              const std::vector<std::string>& strings = {}) {
+    hybrid_.Insert(ints, strings);
+    ints_.push_back(ints);
+    strings_.push_back(strings.empty()
+                           ? std::vector<std::string>(schema_.size())
+                           : strings);
+  }
+
+  // ExecuteQueryHybrid's answer must equal the hash engine's over the
+  // oracle table.
+  void ExpectMatches(const QuerySpec& query, const ScanOptions& options = {},
+                     const std::string& where = "") const {
+    Table oracle(schema_);
+    TableAppender appender(&oracle);
+    for (size_t r = 0; r < ints_.size(); ++r) {
+      appender.AppendRow(ints_[r], strings_[r]);
+    }
+    appender.Flush();
+    auto expected = ExecuteQueryHashAgg(oracle, query);
+    ASSERT_TRUE(expected.ok()) << where << ": "
+                               << expected.status().ToString();
+    auto got = ExecuteQueryHybrid(hybrid_, query, options);
+    ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+    ASSERT_EQ(got.value().rows.size(), expected.value().rows.size()) << where;
+    for (size_t r = 0; r < got.value().rows.size(); ++r) {
+      const ResultRow& g = got.value().rows[r];
+      const ResultRow& e = expected.value().rows[r];
+      ASSERT_EQ(g.group, e.group) << where << " row " << r;
+      ASSERT_EQ(g.count, e.count) << where << " row " << r;
+      ASSERT_EQ(g.sums, e.sums) << where << " row " << r;
+    }
+  }
+
+ private:
+  Schema schema_;
+  HybridTable hybrid_;
+  std::vector<std::vector<int64_t>> ints_;
+  std::vector<std::vector<std::string>> strings_;
+};
+
+uint64_t CounterValue(const char* name) {
+  return obs::Counter::Get(name).value();
+}
+
+// The region segment stores each int column at the narrowest byte-aligned
+// word for its region range: these columns need 8, 16, 32 and 64 bits, and
+// `full` spans the whole int64 range.
+TEST(HybridTableTest, RegionWordWidthsMatchHashOracle) {
+  RegionOracle table({{"s", ColumnType::kString},
+                      {"w8", ColumnType::kInt64},
+                      {"w16", ColumnType::kInt64},
+                      {"w32", ColumnType::kInt64},
+                      {"w64", ColumnType::kInt64},
+                      {"full", ColumnType::kInt64}});
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const char* const kStrings[] = {"x", "y", "z"};
+  Rng rng(11);
+  for (int i = 0; i < 3000; ++i) {
+    int64_t full = rng.NextInRange(-1000, 1000);
+    if (i == 17) full = kMin;
+    if (i == 2021) full = kMax;
+    table.Insert({0, -1000000 + rng.NextInRange(0, 200),
+                  rng.NextInRange(-30000, 30000),
+                  rng.NextInRange(-(int64_t{1} << 30), int64_t{1} << 30),
+                  rng.NextInRange(-(int64_t{1} << 61), int64_t{1} << 61),
+                  full},
+                 {kStrings[rng.NextBounded(3)], "", "", "", "", ""});
+  }
+  for (const char* column : {"w8", "w16", "w32", "w64", "full"}) {
+    QuerySpec query;
+    query.group_by = {"s"};
+    query.aggregates = {AggregateSpec::Count(), AggregateSpec::Min(column),
+                        AggregateSpec::Max(column)};
+    table.ExpectMatches(query, {}, column);
+    query.filters.emplace_back(column, CompareOp::kLt, int64_t{5});
+    table.ExpectMatches(query, {}, std::string(column) + " < 5");
+  }
+  QuerySpec sums;
+  sums.aggregates = {AggregateSpec::Sum("w8"), AggregateSpec::Sum("w16"),
+                     AggregateSpec::Sum("w32"), AggregateSpec::Avg("w8")};
+  sums.filters.emplace_back("w64", CompareOp::kGe, int64_t{0});
+  table.ExpectMatches(sums, {}, "sums");
+}
+
+// More than 256 distinct strings make the region ids 16 bits wide, and more
+// than 65536 make them 32 bits wide.
+TEST(HybridTableTest, WideRegionIdsMatchHashOracle) {
+  for (const int distinct : {700, 70000}) {
+    RegionOracle table({{"s", ColumnType::kString},
+                        {"v", ColumnType::kInt64}});
+    Rng rng(distinct);
+    for (int i = 0; i < distinct + 2000; ++i) {
+      const int k = i < distinct ? i : static_cast<int>(rng.NextBounded(9));
+      table.Insert({0, rng.NextInRange(0, 99)}, {"k" + std::to_string(k), ""});
+    }
+    const std::string where = std::to_string(distinct) + " strings";
+    QuerySpec grouped;  // more than 255 groups: the hash engine answers
+    grouped.group_by = {"s"};
+    grouped.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("v")};
+    table.ExpectMatches(grouped, {}, where);
+    for (const CompareOp op : {CompareOp::kEq, CompareOp::kLt}) {
+      QuerySpec filtered;
+      filtered.aggregates = {AggregateSpec::Count(), AggregateSpec::Max("v")};
+      filtered.filters.emplace_back("s", op, std::string("k5"));
+      table.ExpectMatches(filtered, {}, where + " filtered");
+    }
+  }
+}
+
+// Pooled morsels of one batch each all read the region segment the calling
+// thread built.
+TEST(HybridTableTest, PooledMorselsShareTheRegionSegment) {
+  RegionOracle table(MakeSchema());
+  Rng rng(12);
+  const char* const kRegions[] = {"n", "s", "e"};
+  for (size_t i = 0; i < 3 * kBatchRows + 123; ++i) {
+    table.Insert({0, rng.NextInRange(0, 9999), rng.NextInRange(1, 50)},
+                 {kRegions[rng.NextBounded(3)], "", ""});
+  }
+  QuerySpec query;
+  query.group_by = {"region"};
+  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("amount"),
+                      AggregateSpec::Min("qty")};
+  query.filters.emplace_back("amount", CompareOp::kGe, int64_t{2500});
+  ScanOptions options;
+  options.num_threads = 0;
+  options.morsel_rows = kBatchRows;
+  const uint64_t morsels = CounterValue("scan.morsels");
+  table.ExpectMatches(query, options);
+  if (std::thread::hardware_concurrency() > 1) {
+    EXPECT_GE(CounterValue("scan.morsels") - morsels, 4u);
+  }
+}
+
+// Int group-bys over region rows. A group-by whose region ranges would give
+// more than 255 groups is dictionary-coded in the region segment, so a wide
+// range holding few values stays in the specialized scan, as it does in the
+// merged segments.
+TEST(HybridTableTest, IntGroupByOverRegionMatchesHashOracle) {
+  RegionOracle table({{"g", ColumnType::kInt64},
+                      {"wide_g", ColumnType::kInt64},
+                      {"huge_g", ColumnType::kInt64},
+                      {"full_g", ColumnType::kInt64},
+                      {"many_g", ColumnType::kInt64},
+                      {"tens_g", ColumnType::kInt64},
+                      {"v", ColumnType::kInt64}},
+                     /*segment_rows=*/1000);
+  const int64_t kExtremes[] = {std::numeric_limits<int64_t>::min(), 0,
+                               std::numeric_limits<int64_t>::max()};
+  Rng rng(13);
+  for (int i = 0; i < 2500; ++i) {
+    // wide_g, huge_g and full_g have three values each but ranges of 2000,
+    // 2^33 and 2^64; many_g has 300 values; g (13 values) and tens_g (3
+    // values over a range of 21) give 273 bit-packed group ids together.
+    const int64_t k = rng.NextInRange(0, 2);
+    table.Insert({rng.NextInRange(-6, 6), 1000 * k, k << 32, kExtremes[k],
+                  7 * (i % 300), 10 * rng.NextInRange(0, 2),
+                  rng.NextInRange(-500, 500)});
+    if (i == 1499) table.hybrid().Merge();  // straddle both regions
+  }
+  const std::vector<std::vector<std::string>> kGroupBys = {
+      {"g"},           {"wide_g"},       {"huge_g"}, {"full_g"},
+      {"g", "wide_g"}, {"g", "tens_g"}, {"many_g"}};
+  for (const std::vector<std::string>& group_by : kGroupBys) {
+    QuerySpec query;
+    query.group_by = group_by;
+    query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("v"),
+                        AggregateSpec::Max("v")};
+    query.filters.emplace_back("v", CompareOp::kNe, int64_t{0});
+    const uint64_t fallbacks = CounterValue("scan.hash_fallbacks");
+    table.ExpectMatches(query, {}, group_by.back());
+    // Only many_g has more than 255 groups: the hash engine answers.
+    EXPECT_EQ(CounterValue("scan.hash_fallbacks") - fallbacks,
+              group_by[0] == "many_g" ? 1u : 0u)
+        << group_by.back();
+  }
+}
+
+// The region segment carries its exact min/max, so a filter outside its
+// range eliminates it like any other segment.
+TEST(HybridTableTest, FilterOutsideRegionRangeEliminatesRegion) {
+  RegionOracle table({{"v", ColumnType::kInt64}}, /*segment_rows=*/4096);
+  for (int64_t i = 0; i < 1000; ++i) table.Insert({i});
+  table.hybrid().Merge();
+  for (int64_t i = 0; i < 1000; ++i) table.Insert({5000 + i});
+  QuerySpec query;
+  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("v")};
+  query.filters.emplace_back("v", CompareOp::kLt, int64_t{1000});
+  uint64_t eliminated = CounterValue("scan.segments_eliminated");
+  table.ExpectMatches(query);
+  EXPECT_EQ(CounterValue("scan.segments_eliminated") - eliminated, 1u);
+  // Above the region max: both segments go.
+  query.filters[0] = ColumnPredicate("v", CompareOp::kGt, int64_t{6500});
+  eliminated = CounterValue("scan.segments_eliminated");
+  table.ExpectMatches(query);
+  EXPECT_EQ(CounterValue("scan.segments_eliminated") - eliminated, 2u);
+}
+
+// Merge() starts a new region dictionary: after 300 distinct strings are
+// merged, two fresh ones group in the specialized scan again.
+TEST(HybridTableTest, MergeStartsANewRegionDictionary) {
+  RegionOracle table({{"s", ColumnType::kString}, {"v", ColumnType::kInt64}});
+  for (int i = 0; i < 300; ++i) {
+    table.Insert({0, i}, {"old" + std::to_string(i), ""});
+  }
+  table.hybrid().Merge();
+  for (int i = 0; i < 50; ++i) {
+    table.Insert({0, 1000 + i}, {i % 2 ? "a" : "b", ""});
+  }
+  QuerySpec query;  // the filter eliminates the merged segment
+  query.group_by = {"s"};
+  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("v")};
+  query.filters.emplace_back("v", CompareOp::kGe, int64_t{1000});
+  const uint64_t fallbacks = CounterValue("scan.hash_fallbacks");
+  table.ExpectMatches(query);
+  EXPECT_EQ(CounterValue("scan.hash_fallbacks"), fallbacks);
+}
+
+// Forced strategies now reach region rows: one the region segment cannot
+// run is an error, as on an encoded segment.
+TEST(HybridTableTest, InfeasibleForcedStrategyOnRegionIsAnError) {
+  HybridTable table(MakeSchema());
+  InsertRandomRows(&table, 100, 14);
+  QuerySpec query;
+  query.group_by = {"region"};
+  query.aggregates = {AggregateSpec::Count()};
+  ScanOptions options;
+  options.overrides.aggregation = AggregationStrategy::kRunBased;
+  auto got = ExecuteQueryHybrid(table, query, options);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kNotSupported);
 }
 
 }  // namespace

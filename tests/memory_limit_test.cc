@@ -14,6 +14,7 @@
 #include "common/memory_tracker.h"
 #include "common/random.h"
 #include "core/scan.h"
+#include "storage/hybrid_table.h"
 #include "storage/table_io.h"
 #include "tests/test_util.h"
 
@@ -171,6 +172,51 @@ TEST(MemoryLimitTest, HashFallbackUnderTinyLimitFailsStructurally) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_TRUE(scan.stats().used_hash_fallback);
   EXPECT_EQ(ok.value().rows.size(), 1000u);
+  EXPECT_EQ(roomy.memory_tracker().used(), 0u);
+}
+
+TEST(MemoryLimitTest, HybridRegionSegmentIsGoverned) {
+  // 20000 pending rows: the region segment a query builds needs at least a
+  // byte per row for each of its three columns, far above kTinyLimit.
+  HybridTable hybrid({{"g", ColumnType::kInt64},
+                      {"v", ColumnType::kInt64},
+                      {"f", ColumnType::kInt64}},
+                     4096);
+  hybrid.set_merge_threshold(SIZE_MAX);
+  Rng rng(6);
+  for (int i = 0; i < 20000; ++i) {
+    hybrid.Insert({rng.NextInRange(0, 7), rng.NextInRange(0, 999),
+                   rng.NextInRange(0, 99)});
+  }
+  const QuerySpec query = MakeQuery(true);
+
+  QueryContext context;
+  ConfigureLimit(&context, kTinyLimit);
+  ScanOptions options;
+  options.context = &context;
+  Result<QueryResult> got = ExecuteQueryHybrid(hybrid, query, options);
+  EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted)
+      << got.status().ToString();
+  EXPECT_NE(got.status().message().find("mutable region"), std::string::npos)
+      << got.status().ToString();
+  EXPECT_EQ(context.memory_tracker().used(), 0u);
+
+  Result<QueryResult> unlimited = ExecuteQueryHybrid(hybrid, query);
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  QueryContext roomy;
+  ConfigureLimit(&roomy, kGenerousLimit);
+  ScanOptions roomy_options;
+  roomy_options.context = &roomy;
+  Result<QueryResult> limited =
+      ExecuteQueryHybrid(hybrid, query, roomy_options);
+  ASSERT_TRUE(limited.ok()) << limited.status().ToString();
+  ASSERT_EQ(limited.value().rows.size(), unlimited.value().rows.size());
+  for (size_t r = 0; r < limited.value().rows.size(); ++r) {
+    EXPECT_EQ(limited.value().rows[r].group, unlimited.value().rows[r].group);
+    EXPECT_EQ(limited.value().rows[r].count, unlimited.value().rows[r].count);
+    EXPECT_EQ(limited.value().rows[r].sums, unlimited.value().rows[r].sums);
+  }
+  EXPECT_GE(roomy.memory_tracker().peak(), 3 * 20000u);  // region was charged
   EXPECT_EQ(roomy.memory_tracker().used(), 0u);
 }
 

@@ -190,9 +190,9 @@ TEST(StatsDeterminismTest, EliminationAcrossThreadCounts) {
 }
 
 // Regression: under morsel execution a segment is scanned by many morsels,
-// but its aggregation strategy must be counted exactly once (the
-// counts_segment flag on the first morsel). Tiny one-batch morsels maximize
-// the over-counting surface.
+// but its aggregation strategy must be counted exactly once (strategies are
+// counted from the segment plans, one per scanned segment, not per morsel).
+// Tiny one-batch morsels maximize the over-counting surface.
 TEST(StatsDeterminismTest, AggregationSegmentsCountedOncePerSegment) {
   Table table = MakeMixedTable(60000, 8192, 9005);
   const size_t num_segments = table.num_segments();
