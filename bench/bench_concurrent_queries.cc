@@ -1,21 +1,15 @@
-// Concurrent-query throughput: shared morsel pool vs per-query threads.
+// Concurrent-query throughput on the shared morsel pool.
 //
 // N client threads each run a closed loop of TPC-H Q1- and Q6-shaped scans
-// against one shared lineitem table, under two execution models:
-//   * pool  — ScanOptions::num_threads = 0: every query submits morsels to
-//     the process-wide work-stealing scheduler (src/exec);
-//   * spawn — the legacy model: every query spawns its own max(2, hw)
-//     threads for the duration of the scan.
-// Reported per (model, clients) cell: aggregate queries/sec and p50/p99
-// per-query wall latency. The pool should win once clients oversubscribe
-// the machine (>= 4 concurrent queries), because spawn pays thread
-// creation per query and floods the OS scheduler with clients x threads
-// runnable threads, while the pool multiplexes every query onto one
-// hardware-sized worker set. With a single client the pool must stay
-// within a few percent of spawn (morsel splitting is the only overhead).
+// against one shared lineitem table. Every query runs with
+// ScanOptions::num_threads = 0: it submits morsels to the process-wide
+// work-stealing scheduler (src/exec), so concurrent queries multiplex onto
+// one hardware-sized worker set. Reported per clients cell (1, 2, 4, ... up
+// to the maximum): aggregate queries/sec and p50/p99 per-query wall latency,
+// once as they are and once with a per-query memory limit.
 //
 // Environment knobs (plus the usual BIPIE_BENCH_ROWS / BIPIE_BENCH_REPEATS):
-//   BIPIE_BENCH_CLIENTS  comma-free max client count, default 8
+//   BIPIE_BENCH_CLIENTS  max client count, an integer in [1, 64], default 8
 //
 // Sustained-load server mode (--duration-sec N): instead of the closed-loop
 // cells above, starts the real query service (src/server) on a loopback
@@ -32,6 +26,9 @@
 //   bench_concurrent_queries --duration-sec 10 [--arrival-qps R]
 //       [--clients-per-band N] [--max-concurrent K] [--queue-limit Q]
 //       [--aging-ms MS] [--chaos] [--chaos-seed S] [--fault-prob P]
+//
+// N is in [1, 64], K in [1, 1024] and Q in [0, 65536]; any other value exits
+// 2 before the run starts.
 //
 // --arrival-qps 0 (default) auto-calibrates: it measures one uncontended
 // query's wire latency and targets ~2x the slot capacity, i.e. guaranteed
@@ -98,12 +95,12 @@ double PercentileMs(std::vector<double>& latencies_ms, double p) {
   return latencies_ms[idx];
 }
 
-// Runs `clients` closed-loop client threads, each issuing `iters` queries
-// alternating Q1 and Q6, and gathers per-query latencies. A non-zero
-// `memory_limit` gives every query its own governed QueryContext; queries
-// the limit turns away (kResourceExhausted) are counted, not timed.
+// Runs `clients` closed-loop client threads, each issuing `iters` pooled
+// queries alternating Q1 and Q6, and gathers per-query latencies. A
+// non-zero `memory_limit` gives every query its own governed QueryContext;
+// queries the limit turns away (kResourceExhausted) are counted, not timed.
 CellResult RunCell(const Table& lineitem, size_t clients, int iters,
-                   size_t num_threads, uint64_t memory_limit = 0) {
+                   uint64_t memory_limit = 0) {
   std::vector<std::vector<double>> latencies(clients);
   std::vector<size_t> exhausted(clients, 0);
   MemoryTracker::Process().ResetPeak();
@@ -116,7 +113,7 @@ CellResult RunCell(const Table& lineitem, size_t clients, int iters,
       for (int i = 0; i < iters; ++i) {
         QueryContext context;
         ScanOptions options;
-        options.num_threads = num_threads;
+        options.num_threads = 0;
         if (memory_limit > 0) {
           BIPIE_DCHECK(context.settings()
                            .SetUInt64("memory_limit_bytes", memory_limit)
@@ -342,7 +339,7 @@ int RunSustainedLoad(const LoadFlags& flags) {
   }
 #endif
   PrintBenchHeader(
-      "Concurrent queries: shared morsel pool vs per-query threads",
+      "Concurrent queries: shared morsel pool",
       flags.chaos
           ? "beyond the paper; sustained load with socket/alloc fault "
             "injection against the query service (src/server)"
@@ -600,20 +597,15 @@ int RunSustainedLoad(const LoadFlags& flags) {
   return 0;
 }
 
-// --- closed-loop in-process cells (the original perf-smoke A/B path) --------
+// --- closed-loop in-process cells (the perf-smoke A/B path) -----------------
 
 int RunClosedLoopCells() {
   PrintBenchHeader(
-      "Concurrent queries: shared morsel pool vs per-query threads",
+      "Concurrent queries: shared morsel pool",
       "beyond the paper; morsel-driven execution (Leis et al.) applied to "
       "the BIPie scan");
 
-  const size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-  const size_t spawn_threads = std::max<size_t>(2, hw);
-  size_t max_clients = 8;
-  if (const char* env = std::getenv("BIPIE_BENCH_CLIENTS")) {
-    max_clients = std::max<size_t>(1, std::strtoull(env, nullptr, 10));
-  }
+  const size_t max_clients = PositiveEnvKnob("BIPIE_BENCH_CLIENTS", 8, 64);
   const int iters = std::max(2, BenchRepeats());
 
   LineitemOptions options;
@@ -628,42 +620,30 @@ int RunClosedLoopCells() {
   // Warm the pool (lazy start) and fault in the table before timing.
   { auto warm = RunQ1(lineitem, {.num_threads = 0}); BIPIE_DCHECK(warm.ok()); }
 
-  std::printf("pool workers: %zu | spawn threads/query: %zu | "
-              "iters/client: %d\n\n",
-              Scheduler::Global().num_workers(), spawn_threads, iters);
-  std::printf("%8s %8s %12s %12s %12s\n", "clients", "model", "QPS",
-              "p50 [ms]", "p99 [ms]");
+  std::printf("pool workers: %zu | iters/client: %d\n\n",
+              Scheduler::Global().num_workers(), iters);
+  std::printf("%8s %12s %12s %12s\n", "clients", "QPS", "p50 [ms]",
+              "p99 [ms]");
 
   BenchJsonReport& report = BenchJsonReport::Get();
   report.SetConfig("pool_workers",
                    std::to_string(Scheduler::Global().num_workers()));
-  report.SetConfig("spawn_threads_per_query", std::to_string(spawn_threads));
   report.SetConfig("iters_per_client", std::to_string(iters));
 
-  double pool_qps_at_max = 0, spawn_qps_at_max = 0;
-  double pool_qps_single = 0, spawn_qps_single = 0;
   for (size_t clients = 1; clients <= max_clients; clients *= 2) {
-    for (const bool pool : {true, false}) {
-      const size_t num_threads = pool ? 0 : spawn_threads;
-      const CellResult cell = RunCell(lineitem, clients, iters, num_threads);
-      const char* model = pool ? "pool" : "spawn";
-      std::printf("%8zu %8s %12.1f %12.2f %12.2f\n", clients, model, cell.qps,
-                  cell.p50_ms, cell.p99_ms);
-      report.Add(std::string(model) + "_clients_" + std::to_string(clients),
-                 {{"qps", cell.qps},
-                  {"p50_ms", cell.p50_ms},
-                  {"p99_ms", cell.p99_ms},
-                  {"clients", static_cast<double>(clients)},
-                  {"peak_tracked_bytes",
-                   static_cast<double>(cell.peak_tracked_bytes)}});
-      if (clients == 1) (pool ? pool_qps_single : spawn_qps_single) = cell.qps;
-      if (clients == max_clients) {
-        (pool ? pool_qps_at_max : spawn_qps_at_max) = cell.qps;
-      }
-    }
+    const CellResult cell = RunCell(lineitem, clients, iters);
+    std::printf("%8zu %12.1f %12.2f %12.2f\n", clients, cell.qps,
+                cell.p50_ms, cell.p99_ms);
+    report.Add("pool_clients_" + std::to_string(clients),
+               {{"qps", cell.qps},
+                {"p50_ms", cell.p50_ms},
+                {"p99_ms", cell.p99_ms},
+                {"clients", static_cast<double>(clients)},
+                {"peak_tracked_bytes",
+                 static_cast<double>(cell.peak_tracked_bytes)}});
   }
 
-  // Memory-governed cells: the pool model again, with every query holding a
+  // Memory-governed cells: the same cells again, with every query holding a
   // per-query hard limit. At the default (generous) limit this measures the
   // tracker's overhead and high-water mark under concurrency; pointing
   // BIPIE_BENCH_MEMORY_LIMIT at a small value instead measures structured
@@ -675,16 +655,15 @@ int RunClosedLoopCells() {
     if (ParseUInt64Strict(env, &parsed) && parsed > 0) memory_limit = parsed;
   }
   report.SetConfig("memory_limit_bytes", std::to_string(memory_limit));
-  std::printf("\nper-query memory limit %zu bytes (pool model):\n",
+  std::printf("\nper-query memory limit %zu bytes:\n",
               static_cast<size_t>(memory_limit));
-  std::printf("%8s %8s %12s %12s %12s %12s %10s\n", "clients", "model", "QPS",
+  std::printf("%8s %12s %12s %12s %12s %10s\n", "clients", "QPS",
               "p50 [ms]", "p99 [ms]", "peak [B]", "rejected");
   for (size_t clients = 1; clients <= max_clients; clients *= 2) {
-    const CellResult cell =
-        RunCell(lineitem, clients, iters, /*num_threads=*/0, memory_limit);
-    std::printf("%8zu %8s %12.1f %12.2f %12.2f %12zu %10zu\n", clients,
-                "pool", cell.qps, cell.p50_ms, cell.p99_ms,
-                cell.peak_tracked_bytes, cell.resource_exhausted);
+    const CellResult cell = RunCell(lineitem, clients, iters, memory_limit);
+    std::printf("%8zu %12.1f %12.2f %12.2f %12zu %10zu\n", clients,
+                cell.qps, cell.p50_ms, cell.p99_ms, cell.peak_tracked_bytes,
+                cell.resource_exhausted);
     report.Add("pool_limited_clients_" + std::to_string(clients),
                {{"qps", cell.qps},
                 {"p50_ms", cell.p50_ms},
@@ -695,12 +674,22 @@ int RunClosedLoopCells() {
                 {"resource_exhausted",
                  static_cast<double>(cell.resource_exhausted)}});
   }
-
-  std::printf("\nshape check: pool vs spawn at %zu clients: %.2fx "
-              "(single client: %.2fx)\n",
-              max_clients, pool_qps_at_max / spawn_qps_at_max,
-              pool_qps_single / spawn_qps_single);
   return 0;
+}
+
+// Strict, bounded parse of a count flag: the whole value must be decimal
+// digits within [min, max]. Anything else ("-1", "8x", out of range) exits 2
+// before the run starts.
+size_t CountFlag(const std::string& flag, const char* text, uint64_t min,
+                 uint64_t max) {
+  uint64_t value = 0;
+  if (!ParseUInt64Strict(text, &value) || value < min || value > max) {
+    std::fprintf(stderr, "%s '%s': expected an integer in [%llu, %llu]\n",
+                 flag.c_str(), text, static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max));
+    std::exit(2);
+  }
+  return static_cast<size_t>(value);
 }
 
 }  // namespace
@@ -725,13 +714,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--arrival-qps") {
         flags.arrival_qps = std::strtod(next(), nullptr);
       } else if (arg == "--clients-per-band") {
-        flags.clients_per_band =
-            std::max<size_t>(1, std::strtoull(next(), nullptr, 10));
+        flags.clients_per_band = CountFlag(arg, next(), 1, 64);
       } else if (arg == "--max-concurrent") {
-        flags.max_concurrent =
-            std::max<size_t>(1, std::strtoull(next(), nullptr, 10));
+        flags.max_concurrent = CountFlag(arg, next(), 1, 1024);
       } else if (arg == "--queue-limit") {
-        flags.queue_limit = std::strtoull(next(), nullptr, 10);
+        flags.queue_limit = CountFlag(arg, next(), 0, 65536);
       } else if (arg == "--aging-ms") {
         flags.aging_ms = std::strtoull(next(), nullptr, 10);
       } else if (arg == "--chaos") {

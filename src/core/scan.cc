@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstring>
 #include <map>
-#include <numeric>
 #include <new>
 #include <thread>
 
@@ -32,24 +31,16 @@ struct SegmentContribution {
   uint64_t count = 0;
   std::vector<int64_t> values;  // one per aggregate spec
 };
-
-std::vector<size_t> LargestFirstOrder(const std::vector<size_t>& sizes) {
-  std::vector<size_t> order(sizes.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&sizes](size_t a, size_t b) { return sizes[a] > sizes[b]; });
-  return order;
-}
 }  // namespace internal_scan
 using internal_scan::SegmentContribution;
 
 namespace {
 
 // Per-worker selection scratch, reused across every morsel a thread
-// executes. Morsels never share a scratch (pool workers, legacy threads and
-// the inline path each run morsels to completion on one thread), so the
-// buffers only grow to the largest batch ever seen and the per-morsel
-// allocations disappear from the steady state.
+// executes. Morsels never share a scratch (pool workers and the inline path
+// each run morsels to completion on one thread), so the buffers only grow
+// to the largest batch ever seen and the per-morsel allocations disappear
+// from the steady state.
 struct MorselScratch {
   AlignedBuffer sel_buf;
   AlignedBuffer sel_tmp;
@@ -402,6 +393,11 @@ Result<QueryResult> BIPieScan::Execute() {
 
 Result<QueryResult> BIPieScan::ExecuteImpl() {
   stats_ = ScanStats{};
+  if (options_.num_threads > 1) {
+    return Status::InvalidArgument(
+        "num_threads must be 0 (shared pool) or 1 (inline), got " +
+        std::to_string(options_.num_threads));
+  }
   BIPIE_TRACE_SPAN("scan.execute", "scan");
   Counters().queries.Increment();
   QueryContext* ctx = options_.context;
@@ -425,9 +421,9 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
 
   // The plans become morsels. Pooled scans chunk large segments into
   // batch-aligned ~64K-row ranges so work stealing rebalances skew; the
-  // inline and legacy-spawn paths keep whole segments. Morsel order (the
-  // work_index) is canonical — segment order then range order — and every
-  // reduction below is ordered by it, never by completion order.
+  // inline path keeps whole segments. Morsel order (the work_index) is
+  // canonical — segment order then range order — and every reduction below
+  // is ordered by it, never by completion order.
   // A pooled scan only pays off when the pool adds parallelism beyond the
   // calling thread (which already helps drain its own task group). On a
   // single-hardware-thread host with a 1-worker pool the pooled path would
@@ -467,83 +463,37 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
   std::vector<Status> morsel_status(morsels.size());
   std::vector<ScanStats> morsel_stats(morsels.size());
 
+  // The one per-morsel runner, for both paths. Morsels above the lowest
+  // real-error index recorded so far are skipped: they can never win the
+  // deterministic error selection (real errors outrank kNotSupported, lower
+  // index outranks higher), and their contributions would be discarded with
+  // the failure anyway. Morsels at or below it always run, so the true
+  // minimum is always found and, when no real error exists at all, nothing
+  // is skipped and the kNotSupported reduction sees every morsel. Run in
+  // work_index order (the inline path), the rule stops at the first real
+  // error.
+  std::atomic<size_t> first_real_error{SIZE_MAX};
+  const auto run_morsel = [&](const Morsel& morsel) {
+    const size_t m = morsel.work_index;
+    if (m > first_real_error.load(std::memory_order_acquire)) return;
+    Status st =
+        ScanMorsel(morsel, filter_cols, &morsel_stats[m], &contributions[m]);
+    if (!st.ok() && st.code() != StatusCode::kNotSupported) {
+      size_t cur = first_real_error.load(std::memory_order_relaxed);
+      while (m < cur && !first_real_error.compare_exchange_weak(
+                            cur, m, std::memory_order_acq_rel)) {
+      }
+    }
+    morsel_status[m] = std::move(st);
+  };
   if (pooled) {
-    // Morsels above the lowest real-error index recorded so far may be
-    // skipped: they can never win the deterministic error selection (real
-    // errors outrank kNotSupported, lower index outranks higher), and their
-    // contributions would be discarded with the failure anyway. Morsels at
-    // or below it always run, so the true minimum is always found and, when
-    // no real error exists at all, nothing is skipped and the kNotSupported
-    // reduction sees every morsel.
-    std::atomic<size_t> first_real_error{SIZE_MAX};
     TaskGroup group(&Scheduler::Global(), ctx);
     for (const Morsel& morsel : morsels) {
-      group.Submit([this, morsel, &filter_cols, &morsel_status, &morsel_stats,
-                    &contributions, &first_real_error] {
-        if (morsel.work_index >
-            first_real_error.load(std::memory_order_acquire)) {
-          return;
-        }
-        Status st =
-            ScanMorsel(morsel, filter_cols, &morsel_stats[morsel.work_index],
-                       &contributions[morsel.work_index]);
-        if (!st.ok() && st.code() != StatusCode::kNotSupported) {
-          size_t cur = first_real_error.load(std::memory_order_relaxed);
-          while (morsel.work_index < cur &&
-                 !first_real_error.compare_exchange_weak(
-                     cur, morsel.work_index, std::memory_order_acq_rel)) {
-          }
-        }
-        morsel_status[morsel.work_index] = std::move(st);
-      });
+      group.Submit([&run_morsel, &morsel] { run_morsel(morsel); });
     }
     group.Wait();
   } else {
-    const size_t threads = std::max<size_t>(
-        1, std::min<size_t>(options_.num_threads, morsels.size()));
-    if (threads <= 1) {
-      // Inline path: drain the largest work items first so a pathological
-      // segment (RLE-heavy, or the only survivor of elimination) is started
-      // as early as possible — the order any future chunking or handoff of
-      // the tail would want. Result and error selection stay canonical: the
-      // reductions below run over work_index, not execution order.
-      std::vector<size_t> sizes(morsels.size());
-      for (size_t m = 0; m < morsels.size(); ++m) {
-        sizes[m] = morsels[m].num_rows;
-      }
-      for (const size_t m : internal_scan::LargestFirstOrder(sizes)) {
-        morsel_status[m] = ScanMorsel(morsels[m], filter_cols,
-                                      &morsel_stats[m], &contributions[m]);
-        // Keep scanning past kNotSupported (a later work item may surface a
-        // real error that must take precedence); stop on real errors.
-        if (!morsel_status[m].ok() &&
-            morsel_status[m].code() != StatusCode::kNotSupported) {
-          break;
-        }
-      }
-    } else {
-      // Legacy per-query model: fresh threads, whole segments claimed off a
-      // shared atomic cursor (the paper's scan parallelism unit). Kept as
-      // the explicit comparator the shared pool is benchmarked against.
-      std::atomic<size_t> next{0};
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (size_t t = 0; t < threads; ++t) {
-        pool.emplace_back([&] {
-          for (;;) {
-            const size_t m = next.fetch_add(1);
-            if (m >= morsels.size()) return;
-            morsel_status[m] = ScanMorsel(morsels[m], filter_cols,
-                                          &morsel_stats[m], &contributions[m]);
-            if (!morsel_status[m].ok() &&
-                morsel_status[m].code() != StatusCode::kNotSupported) {
-              return;
-            }
-          }
-        });
-      }
-      for (std::thread& t : pool) t.join();
-    }
+    for (const Morsel& morsel : morsels) run_morsel(morsel);
   }
 
   // Merge per-morsel progress stats in canonical order.
@@ -683,8 +633,6 @@ ScanOptions MakeScanOptions(QueryContext* context) {
   if (context == nullptr) return options;
   const QuerySettings& settings = context->settings();
   options.num_threads = static_cast<size_t>(settings.num_threads());
-  options.morsel_rows = static_cast<size_t>(settings.morsel_rows());
-  options.enable_segment_elimination = settings.enable_segment_elimination();
   // The strategy-force strings are validated against the registry's
   // allowed list, which is generated from these same display names — a
   // non-empty value always resolves.

@@ -12,7 +12,9 @@
 // Parallelism is morsel-driven (src/exec): with num_threads == 0 the scan
 // splits segments into ~64K-row morsels and runs them on the process-wide
 // work-stealing pool, so skewed morsels are rebalanced by stealing and
-// concurrent queries share one set of hardware threads.
+// concurrent queries share one set of hardware threads. With num_threads
+// == 1 the same per-morsel runner drains whole segments on the calling
+// thread, in segment order. The scan never starts a thread of its own.
 #ifndef BIPIE_CORE_SCAN_H_
 #define BIPIE_CORE_SCAN_H_
 
@@ -39,12 +41,6 @@ inline constexpr size_t kDefaultMorselRows = size_t{1} << 16;
 
 namespace internal_scan {
 struct SegmentContribution;  // defined in scan.cc
-
-// Execution order for the inline (single-threaded) path: indices into
-// `sizes` sorted largest first (ties: lower index first). Draining the
-// biggest work items first degrades gracefully if the tail is later
-// chunked or handed to other executors. Exposed for tests.
-std::vector<size_t> LargestFirstOrder(const std::vector<size_t>& sizes);
 }  // namespace internal_scan
 
 struct ScanOptions {
@@ -53,12 +49,10 @@ struct ScanOptions {
   // row regardless of the filter).
   bool enable_segment_elimination = true;
   // Scan parallelism:
-  //   0  — shared morsel-driven pool (Scheduler::Global()) at hardware
-  //        concurrency; segments split into morsel_rows-row morsels.
-  //   1  — inline on the calling thread (whole segments, largest first).
-  //   k>1 — legacy per-query model: spawns k fresh threads, whole segments
-  //        via an atomic cursor (the paper's "one segment per hardware
-  //        thread"; kept as the comparator bench_concurrent_queries beats).
+  //   0 — shared morsel-driven pool (Scheduler::Global()) at hardware
+  //       concurrency; segments split into morsel_rows-row morsels.
+  //   1 — inline on the calling thread (whole segments, in segment order).
+  // Execute() rejects any other value with kInvalidArgument.
   size_t num_threads = 1;
   // Rows per morsel for the pooled path; 0 = kDefaultMorselRows. Rounded up
   // to a multiple of kBatchRows so batch boundaries (and therefore per-batch

@@ -14,18 +14,14 @@ namespace {
 constexpr uint64_t kMaxMemoryBytes = uint64_t{1} << 48;
 
 // Registry order fixes the type-local ordinals the named accessors in the
-// header index into: uint64 rows are u64_[0..], bool rows bool_[0..],
-// string rows str_[0..], each in declaration order.
+// header index into: uint64 rows are u64_[0..] and string rows str_[0..],
+// each in declaration order.
 const std::vector<SettingDef>& RegistryImpl() {
   static const std::vector<SettingDef>* defs = new std::vector<SettingDef>{
       {"num_threads", SettingType::kUInt64,
        "Scan parallelism: 0 = shared morsel pool, 1 = inline on the calling "
-       "thread, k>1 = legacy per-query threads.",
-       1, 0, 1024},
-      {"morsel_rows", SettingType::kUInt64,
-       "Rows per morsel on the pooled path (0 = default 65536); rounded up "
-       "to a 4096-row batch multiple.",
-       0, 0, uint64_t{1} << 24},
+       "thread.",
+       1, 0, 1},
       {"memory_limit_bytes", SettingType::kUInt64,
        "Hard per-query memory limit; an allocation pushing the query past "
        "it fails the query with kResourceExhausted. 0 = unlimited.",
@@ -39,28 +35,15 @@ const std::vector<SettingDef>& RegistryImpl() {
        "Query deadline in milliseconds from ApplySettings(); past it the "
        "next cancellation check returns kCancelled. 0 = no deadline.",
        0, 0, 86400000},
-      {"enable_segment_elimination", SettingType::kBool,
-       "Min/max segment elimination before scanning (disable for benchmarks "
-       "that must touch every row).",
-       0, 0, 0, true},
-      {"io_verify_checksums", SettingType::kBool,
-       "Verify the CRC32C of every v2 block when loading a table file.", 0,
-       0, 0, true},
-      {"io_validate", SettingType::kBool,
-       "Run the deep decode validation pass on every loaded table.", 0, 0, 0,
-       true},
-      {"io_strict", SettingType::kBool,
-       "Refuse table formats that cannot be checksum-verified (legacy v1).",
-       0, 0, 0, false},
       {"force_selection_strategy", SettingType::kString,
        "Force one selection strategy instead of the per-batch choice; the "
        "scan fails with kNotSupported when the strategy cannot run. Empty = "
        "adaptive.",
-       0, 0, 0, false, "", "gather|compact|special-group"},
+       0, 0, 0, "", "gather|compact|special-group"},
       {"force_aggregation_strategy", SettingType::kString,
        "Force one aggregation strategy instead of the per-segment choice. "
        "Empty = adaptive.",
-       0, 0, 0, false, "",
+       0, 0, 0, "",
        "scalar|in-register|sort-based|multi-aggregate|checked-scalar|"
        "run-based"},
       {"force_byteslice", SettingType::kString,
@@ -68,12 +51,12 @@ const std::vector<SettingDef>& RegistryImpl() {
        "forces the plane kernels (the scan fails with kNotSupported when no "
        "filter binds to a byte-sliced column), 'off' forces the "
        "assemble-then-compare fallback. Empty = adaptive admission.",
-       0, 0, 0, false, "", "on|off"},
+       0, 0, 0, "", "on|off"},
       {"priority", SettingType::kString,
        "Admission priority band. A freed slot goes to the highest-priority "
        "queued query; aging promotes long waiters one band per aging "
        "quantum so low priority is delayed under saturation, never starved.",
-       0, 0, 0, false, "normal", "high|normal|low"},
+       0, 0, 0, "normal", "high|normal|low"},
   };
   return *defs;
 }
@@ -136,18 +119,6 @@ bool ParseUInt64Strict(const std::string& text, uint64_t* out) {
   return true;
 }
 
-bool ParseBoolStrict(const std::string& text, bool* out) {
-  if (text == "true" || text == "1" || text == "on") {
-    *out = true;
-    return true;
-  }
-  if (text == "false" || text == "0" || text == "off") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
 uint64_t EnvUInt64Setting(const char* name, uint64_t def, uint64_t min,
                           uint64_t max) {
   const char* env = std::getenv(name);
@@ -175,9 +146,6 @@ QuerySettings::QuerySettings() {
     switch (def.type) {
       case SettingType::kUInt64:
         u64_.push_back(def.default_u64);
-        break;
-      case SettingType::kBool:
-        bool_.push_back(def.default_bool);
         break;
       case SettingType::kString:
         str_.emplace_back(def.default_string);
@@ -209,15 +177,6 @@ Status QuerySettings::Set(const std::string& name, const std::string& text) {
       }
       return SetUInt64(name, value);
     }
-    case SettingType::kBool: {
-      bool value = false;
-      if (!ParseBoolStrict(text, &value)) {
-        return Status::InvalidArgument(
-            "setting " + name + ": expected true/false/1/0/on/off, got '" +
-            text + "'");
-      }
-      return SetBool(name, value);
-    }
     case SettingType::kString:
       return SetString(name, text);
   }
@@ -238,17 +197,6 @@ Status QuerySettings::SetUInt64(const std::string& name, uint64_t value) {
         "]");
   }
   u64_[OrdinalOf(static_cast<size_t>(idx))] = value;
-  return Status::OK();
-}
-
-Status QuerySettings::SetBool(const std::string& name, bool value) {
-  const int idx = IndexOf(name);
-  if (idx < 0) return Status::InvalidArgument("unknown setting: " + name);
-  const SettingDef& def = RegistryImpl()[static_cast<size_t>(idx)];
-  if (def.type != SettingType::kBool) {
-    return Status::InvalidArgument("setting " + name + " is not a boolean");
-  }
-  bool_[OrdinalOf(static_cast<size_t>(idx))] = value;
   return Status::OK();
 }
 
@@ -274,13 +222,6 @@ uint64_t QuerySettings::GetUInt64(const std::string& name) const {
                RegistryImpl()[static_cast<size_t>(idx)].type ==
                    SettingType::kUInt64);
   return u64_[OrdinalOf(static_cast<size_t>(idx))];
-}
-
-bool QuerySettings::GetBool(const std::string& name) const {
-  const int idx = IndexOf(name);
-  BIPIE_DCHECK(idx >= 0 && RegistryImpl()[static_cast<size_t>(idx)].type ==
-                               SettingType::kBool);
-  return bool_[OrdinalOf(static_cast<size_t>(idx))];
 }
 
 const std::string& QuerySettings::GetString(const std::string& name) const {

@@ -24,7 +24,7 @@
 
 namespace bipie {
 
-enum class SettingType { kUInt64, kBool, kString };
+enum class SettingType { kUInt64, kString };
 
 // One registry row. The registry is static data; Doc strings surface in
 // README's settings table and error messages.
@@ -35,7 +35,6 @@ struct SettingDef {
   uint64_t default_u64 = 0;  // kUInt64
   uint64_t min_u64 = 0;      // kUInt64: inclusive range
   uint64_t max_u64 = 0;
-  bool default_bool = false;        // kBool
   const char* default_string = "";  // kString
   // kString: '|'-separated allowed values; the empty string is always
   // allowed (meaning "unset").
@@ -56,24 +55,17 @@ class QuerySettings {
   // for well-formed values outside the declared range.
   Status Set(const std::string& name, const std::string& text);
   Status SetUInt64(const std::string& name, uint64_t value);
-  Status SetBool(const std::string& name, bool value);
   Status SetString(const std::string& name, const std::string& value);
 
   // Typed getters; the name must exist with the matching type (DCHECKed).
   uint64_t GetUInt64(const std::string& name) const;
-  bool GetBool(const std::string& name) const;
   const std::string& GetString(const std::string& name) const;
 
   // Named accessors for every registered setting (the hot call sites).
   uint64_t num_threads() const { return u64_[0]; }
-  uint64_t morsel_rows() const { return u64_[1]; }
-  uint64_t memory_limit_bytes() const { return u64_[2]; }
-  uint64_t memory_soft_limit_bytes() const { return u64_[3]; }
-  uint64_t deadline_ms() const { return u64_[4]; }
-  bool enable_segment_elimination() const { return bool_[0]; }
-  bool io_verify_checksums() const { return bool_[1]; }
-  bool io_validate() const { return bool_[2]; }
-  bool io_strict() const { return bool_[3]; }
+  uint64_t memory_limit_bytes() const { return u64_[1]; }
+  uint64_t memory_soft_limit_bytes() const { return u64_[2]; }
+  uint64_t deadline_ms() const { return u64_[3]; }
   const std::string& force_selection_strategy() const { return str_[0]; }
   const std::string& force_aggregation_strategy() const { return str_[1]; }
   const std::string& force_byteslice() const { return str_[2]; }
@@ -83,7 +75,6 @@ class QuerySettings {
   // Values live in per-type arrays indexed by the registry row's
   // type-local ordinal (SettingDef rows are mapped at construction).
   std::vector<uint64_t> u64_;
-  std::vector<bool> bool_;
   std::vector<std::string> str_;
 };
 
@@ -91,9 +82,6 @@ class QuerySettings {
 // no prefix, no trailing garbage) and fit in uint64. Returns false
 // otherwise.
 bool ParseUInt64Strict(const std::string& text, uint64_t* out);
-
-// Parses "true"/"false"/"1"/"0"/"on"/"off" (lowercase).
-bool ParseBoolStrict(const std::string& text, bool* out);
 
 // Reads an environment variable through the strict parser. Absent -> `def`.
 // Malformed -> `def` with a one-time (per variable) stderr warning.

@@ -34,7 +34,12 @@ uint64_t NsBetween(Clock::time_point from, Clock::time_point to) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
 }
 
+// 0 when `to` precedes `from`: the deadline checks pass the poll loop's
+// snapshot as `to`, and a read or write later in the same round stamps its
+// connection after it. A negative span cast to uint64 would read as ~2^64
+// ms and drop a live connection as idle or stalled.
 uint64_t MsBetween(Clock::time_point from, Clock::time_point to) {
+  if (to <= from) return 0;
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(to - from)
           .count());
@@ -788,6 +793,14 @@ void Server::FinishQuery(const std::shared_ptr<Connection>& conn,
 }
 
 bool Server::FlushLocked(Connection* conn) {
+  // Bytes handed to the kernel stop being session memory, and a peer that
+  // has read a reply may send its next query at once. So the buffer's
+  // charge is released before the send and only the unsent residue is
+  // charged again below: the next query never finds the previous reply
+  // still charged to its session. (A failed send closes the connection
+  // with its residue uncharged.)
+  conn->session_tracker.Release(conn->wbuf_charged);
+  conn->wbuf_charged = 0;
   while (conn->woffset < conn->wbuf.size()) {
     size_t left = conn->wbuf.size() - conn->woffset;
     if (BIPIE_FAILPOINT("server/send_fail")) return false;  // ~EPIPE
@@ -804,7 +817,7 @@ bool Server::FlushLocked(Connection* conn) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     return false;  // ECONNRESET / EPIPE: peer is gone
   }
-  // Compact and hand back the drained bytes' session charge.
+  // Compact, and charge what is still buffered.
   if (conn->woffset == conn->wbuf.size()) {
     conn->wbuf.clear();
     conn->woffset = 0;
@@ -815,10 +828,8 @@ bool Server::FlushLocked(Connection* conn) {
     conn->woffset = 0;
   }
   const size_t pending = conn->wbuf.size() - conn->woffset;
-  if (conn->wbuf_charged > pending) {
-    conn->session_tracker.Release(conn->wbuf_charged - pending);
-    conn->wbuf_charged = pending;
-  }
+  conn->session_tracker.ForceCharge(pending);
+  conn->wbuf_charged = pending;
   conn->has_pending_write.store(pending > 0, std::memory_order_release);
   return true;
 }

@@ -1,8 +1,8 @@
 // Integration tests for morsel-driven scan execution: concurrent queries on
 // the shared pool diffed against the hash-aggregation oracle (the TSan
 // preset runs this as the data-race stress), cancellation invariants (a
-// cancelled query returns kCancelled, never a partial result), morsel-split
-// determinism, and the inline path's largest-first work ordering.
+// cancelled query returns kCancelled, never a partial result), and
+// morsel-split determinism.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -226,7 +226,7 @@ TEST(ConcurrentScanTest, EightWayConcurrentExecuteMatchesOracle) {
 TEST(ConcurrentScanTest, PreCancelledQueryReturnsCancelled) {
   Table table = MakeGroupedTable(20000, 2048, 75);
   QuerySpec query = MakeGroupedQuery();
-  for (size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
+  for (size_t threads : {size_t{0}, size_t{1}}) {
     QueryContext context;
     context.Cancel();
     ScanOptions options;
@@ -249,7 +249,7 @@ TEST(ConcurrentScanTest, MidScanCancellationNeverYieldsPartialResult) {
   // either a clean kCancelled or the complete, exact answer — the scan may
   // finish before noticing a very late cancel, but must never return a
   // subset of the groups or partially accumulated sums.
-  for (size_t threads : {size_t{0}, size_t{1}, size_t{3}}) {
+  for (size_t threads : {size_t{0}, size_t{1}}) {
     for (int64_t budget : {0, 1, 2, 5, 9, 17, 1000000}) {
       QueryContext context;
       context.CancelAfterChecks(budget);
@@ -309,18 +309,10 @@ TEST(ConcurrentScanTest, CancelledHashFallbackReturnsCancelled) {
   EXPECT_EQ(got.status().code(), StatusCode::kCancelled);
 }
 
-TEST(ScanWorkOrderTest, LargestFirstOrderSortsBySizeWithStableTies) {
-  const std::vector<size_t> sizes = {5, 100, 7, 100, 0, 64};
-  const std::vector<size_t> order = internal_scan::LargestFirstOrder(sizes);
-  EXPECT_EQ(order, (std::vector<size_t>{1, 3, 5, 2, 0, 4}));
-  EXPECT_TRUE(internal_scan::LargestFirstOrder({}).empty());
-}
-
 TEST(ScanWorkOrderTest, PathologicalSegmentStaysExactOnEveryPath) {
   // One huge segment among many small ones — the shape that stalls a static
-  // strided partition. The inline path drains it first; the pool splits it
-  // into morsels; the legacy path gets it off the shared cursor. All three
-  // must agree with the oracle exactly.
+  // strided partition. The pool splits it into morsels; the inline path
+  // scans it whole. Both must agree with the oracle exactly.
   Table table({{"g", ColumnType::kInt64, EncodingChoice::kDictionary},
                {"x", ColumnType::kInt64, EncodingChoice::kBitPacked},
                {"f", ColumnType::kInt64, EncodingChoice::kBitPacked}});
@@ -351,7 +343,7 @@ TEST(ScanWorkOrderTest, PathologicalSegmentStaysExactOnEveryPath) {
   auto oracle = ExecuteQueryHashAgg(table, query);
   ASSERT_TRUE(oracle.ok());
 
-  for (size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
+  for (size_t threads : {size_t{0}, size_t{1}}) {
     ScanOptions options;
     options.num_threads = threads;
     auto got = test::ExecuteChecked(table, query, options);

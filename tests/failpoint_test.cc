@@ -169,7 +169,7 @@ TEST_F(FailpointTest, ScanScratchFailureIsResourceExhaustedNeverPartial) {
   auto expected = ExecuteQuery(table, query);
   ASSERT_TRUE(expected.ok());
 
-  for (size_t num_threads : {size_t{0}, size_t{1}, size_t{3}}) {
+  for (size_t num_threads : {size_t{0}, size_t{1}}) {
     Failpoints::FailEveryN("scan/morsel_scratch_alloc", 1);
     ScanOptions options;
     options.num_threads = num_threads;

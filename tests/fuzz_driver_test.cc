@@ -47,11 +47,16 @@ TEST(FuzzDriver, ParseRejectsMalformedLines) {
   EXPECT_FALSE(fuzz::ParseCaseParams("seed", &parsed, &error));
   EXPECT_FALSE(fuzz::ParseCaseParams("bogus_key=1", &parsed, &error));
   EXPECT_FALSE(fuzz::ParseCaseParams("rows=abc", &parsed, &error));
+  // Only the shared pool (0) and inline (1) execution models exist.
+  EXPECT_FALSE(fuzz::ParseCaseParams("seed=1 num_threads=4", &parsed, &error));
+  EXPECT_NE(error.find("num_threads"), std::string::npos) << error;
+  EXPECT_TRUE(fuzz::ParseCaseParams("seed=1 num_threads=0", &parsed, &error))
+      << error;
 }
 
 TEST(FuzzDriver, ExplicitParamsRunGreen) {
-  // A directed case crossing the specialized-group envelope with threads,
-  // deletions and a wide filter column all at once.
+  // A directed case crossing the specialized-group envelope on the shared
+  // pool, with deletions and a wide filter column all at once.
   fuzz::CaseParams p;
   p.seed = 3;
   p.rows = 4000;
@@ -63,7 +68,7 @@ TEST(FuzzDriver, ExplicitParamsRunGreen) {
   p.delete_frac = 0.05;
   p.target_selectivity = 0.3;
   p.wide_bits = 51;
-  p.num_threads = 3;
+  p.num_threads = 0;
   std::string error;
   EXPECT_TRUE(fuzz::RunOneCase(p, &error)) << error;
 }
@@ -141,7 +146,7 @@ TEST(ScanErrorPriority, OverflowBeatsNotSupportedMultiThread) {
   const Table table = MakeOverflowAfterNotSupportedTable();
   for (int trial = 0; trial < 20; ++trial) {
     ScanOptions options;
-    options.num_threads = 4;
+    options.num_threads = 0;
     BIPieScan scan(table, SumByGroupQuery(), options);
     auto result = scan.Execute();
     ASSERT_FALSE(result.ok());

@@ -27,24 +27,18 @@ TEST(QuerySettingsTest, RegistryDeclaresEverySetting) {
 TEST(QuerySettingsTest, DefaultsMatchRegistry) {
   QuerySettings settings;
   EXPECT_EQ(settings.num_threads(), 1u);
-  EXPECT_EQ(settings.morsel_rows(), 0u);
   EXPECT_EQ(settings.memory_limit_bytes(), 0u);
   EXPECT_EQ(settings.memory_soft_limit_bytes(), 0u);
   EXPECT_EQ(settings.deadline_ms(), 0u);
-  EXPECT_TRUE(settings.enable_segment_elimination());
-  EXPECT_TRUE(settings.io_verify_checksums());
-  EXPECT_TRUE(settings.io_validate());
-  EXPECT_FALSE(settings.io_strict());
   EXPECT_EQ(settings.force_selection_strategy(), "");
   EXPECT_EQ(settings.force_aggregation_strategy(), "");
+  EXPECT_EQ(settings.force_byteslice(), "");
+  EXPECT_EQ(settings.priority(), "normal");
   // Named accessors and generic getters read the same storage.
   for (const SettingDef& def : QuerySettings::Registry()) {
     switch (def.type) {
       case SettingType::kUInt64:
         EXPECT_EQ(settings.GetUInt64(def.name), def.default_u64) << def.name;
-        break;
-      case SettingType::kBool:
-        EXPECT_EQ(settings.GetBool(def.name), def.default_bool) << def.name;
         break;
       case SettingType::kString:
         EXPECT_EQ(settings.GetString(def.name), def.default_string)
@@ -56,43 +50,48 @@ TEST(QuerySettingsTest, DefaultsMatchRegistry) {
 
 TEST(QuerySettingsTest, SetParsesAndValidates) {
   QuerySettings settings;
-  EXPECT_TRUE(settings.Set("num_threads", "8").ok());
-  EXPECT_EQ(settings.num_threads(), 8u);
+  EXPECT_TRUE(settings.Set("num_threads", "0").ok());
+  EXPECT_EQ(settings.num_threads(), 0u);
   EXPECT_TRUE(settings.Set("memory_limit_bytes", "1048576").ok());
   EXPECT_EQ(settings.memory_limit_bytes(), 1048576u);
-  EXPECT_TRUE(settings.Set("enable_segment_elimination", "false").ok());
-  EXPECT_FALSE(settings.enable_segment_elimination());
-  EXPECT_TRUE(settings.Set("io_strict", "on").ok());
-  EXPECT_TRUE(settings.io_strict());
   EXPECT_TRUE(settings.Set("force_selection_strategy", "compact").ok());
   EXPECT_EQ(settings.force_selection_strategy(), "compact");
   EXPECT_TRUE(settings.Set("force_selection_strategy", "").ok());  // unset
 
-  EXPECT_EQ(settings.Set("no_such_setting", "1").code(),
-            StatusCode::kInvalidArgument);
+  // Unknown names, including settings nothing read (LoadTable takes
+  // LoadOptions; the morsel size and the elimination switch are ScanOptions
+  // fields only).
+  for (const char* name :
+       {"no_such_setting", "io_verify_checksums", "io_validate", "io_strict",
+        "morsel_rows", "enable_segment_elimination"}) {
+    EXPECT_EQ(settings.Set(name, "1").code(), StatusCode::kInvalidArgument)
+        << name;
+  }
   EXPECT_EQ(settings.Set("num_threads", "-1").code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(settings.Set("num_threads", "8abc").code(),
             StatusCode::kInvalidArgument);
+  // 0 (shared pool) and 1 (inline) are the only execution models.
+  EXPECT_EQ(settings.Set("num_threads", "2").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(settings.Set("num_threads", "99999").code(),
             StatusCode::kOutOfRange);
-  EXPECT_EQ(settings.Set("enable_segment_elimination", "maybe").code(),
-            StatusCode::kInvalidArgument);
   EXPECT_EQ(settings.Set("force_selection_strategy", "fastest").code(),
             StatusCode::kOutOfRange);
   // Failed sets left prior values intact.
-  EXPECT_EQ(settings.num_threads(), 8u);
+  EXPECT_EQ(settings.num_threads(), 0u);
   EXPECT_EQ(settings.force_selection_strategy(), "");
 }
 
 TEST(QuerySettingsTest, TypedSettersCheckTypeAndRange) {
   QuerySettings settings;
-  EXPECT_TRUE(settings.SetUInt64("morsel_rows", 4096).ok());
-  EXPECT_EQ(settings.morsel_rows(), 4096u);
-  EXPECT_EQ(settings.SetUInt64("io_strict", 1).code(),
+  EXPECT_TRUE(settings.SetUInt64("deadline_ms", 4096).ok());
+  EXPECT_EQ(settings.deadline_ms(), 4096u);
+  EXPECT_EQ(settings.SetUInt64("num_threads", 4).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(settings.SetUInt64("priority", 1).code(),
             StatusCode::kInvalidArgument);  // wrong type
-  EXPECT_TRUE(settings.SetBool("io_strict", true).ok());
-  EXPECT_TRUE(settings.io_strict());
+  EXPECT_EQ(settings.SetString("num_threads", "1").code(),
+            StatusCode::kInvalidArgument);  // wrong type
   EXPECT_TRUE(
       settings.SetString("force_aggregation_strategy", "run-based").ok());
   EXPECT_EQ(settings.SetString("force_aggregation_strategy", "turbo").code(),
@@ -112,21 +111,6 @@ TEST(QuerySettingsTest, ParseUInt64Strict) {
   EXPECT_FALSE(ParseUInt64Strict("8abc", &v));
   EXPECT_FALSE(ParseUInt64Strict("0x10", &v));
   EXPECT_FALSE(ParseUInt64Strict("18446744073709551616", &v));  // overflow
-}
-
-TEST(QuerySettingsTest, ParseBoolStrict) {
-  bool b = false;
-  EXPECT_TRUE(ParseBoolStrict("true", &b));
-  EXPECT_TRUE(b);
-  EXPECT_TRUE(ParseBoolStrict("0", &b));
-  EXPECT_FALSE(b);
-  EXPECT_TRUE(ParseBoolStrict("on", &b));
-  EXPECT_TRUE(b);
-  EXPECT_TRUE(ParseBoolStrict("off", &b));
-  EXPECT_FALSE(b);
-  EXPECT_FALSE(ParseBoolStrict("TRUE", &b));
-  EXPECT_FALSE(ParseBoolStrict("yes", &b));
-  EXPECT_FALSE(ParseBoolStrict("", &b));
 }
 
 TEST(QuerySettingsTest, EnvUInt64SettingValidatesAndClamps) {

@@ -81,7 +81,7 @@ TEST(RunPipelineTest, RunsCrossBatchAndMorselBoundaries) {
     QuerySpec query = MakeRunQuery(with_filter);
     auto expected = ExecuteQueryHashAgg(table, query);
     ASSERT_TRUE(expected.ok());
-    for (const size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
+    for (const size_t threads : {size_t{0}, size_t{1}}) {
       ScanOptions options;
       options.num_threads = threads;
       options.morsel_rows = kBatchRows;
@@ -119,7 +119,7 @@ TEST(RunPipelineTest, DeletedRowInsideRunFallsBackToRowLevel) {
   QuerySpec query = MakeRunQuery(/*with_filter=*/true);
   auto expected = ExecuteQueryHashAgg(table, query);
   ASSERT_TRUE(expected.ok());
-  for (const size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
+  for (const size_t threads : {size_t{0}, size_t{1}}) {
     ScanOptions options;
     options.num_threads = threads;
     options.morsel_rows = kBatchRows;

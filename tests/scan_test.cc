@@ -11,6 +11,7 @@
 #include "baseline/hash_agg.h"
 #include "baseline/scalar_engine.h"
 #include "common/random.h"
+#include "obs/metrics.h"
 
 namespace bipie {
 namespace {
@@ -317,7 +318,7 @@ TEST(ScanTest, CrossSegmentSumOverflowIsReportedNotWrapped) {
   const Table table = MakeCrossSegmentSumTable(int64_t{1} << 60);
   QuerySpec query;
   query.aggregates = {AggregateSpec::Sum("v")};
-  for (const size_t threads : {0, 1, 4}) {
+  for (const size_t threads : {0, 1}) {
     ScanOptions options;
     options.num_threads = threads;
     auto got = test::ExecuteChecked(table, query, options);
@@ -343,7 +344,7 @@ TEST(ScanTest, EliminatingScanAgreesWithExplain) {
   query.group_by = {"g"};
   query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("x")};
   query.filters.emplace_back("x", CompareOp::kLt, int64_t{3000});
-  for (const size_t threads : {0, 1, 4}) {
+  for (const size_t threads : {0, 1}) {
     ScanOptions options;
     options.num_threads = threads;
     auto got = test::ExecuteChecked(table, query, options);
@@ -367,7 +368,7 @@ TEST(ScanTest, NearLimitCrossSegmentSumIsExact) {
   const Table table = MakeCrossSegmentSumTable(value);
   QuerySpec query;
   query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("v")};
-  for (const size_t threads : {0, 1, 4}) {
+  for (const size_t threads : {0, 1}) {
     ScanOptions options;
     options.num_threads = threads;
     auto got = test::ExecuteChecked(table, query, options);
@@ -429,32 +430,53 @@ TEST(ScanTest, DeltaEncodedAggregateAndFilterColumns) {
 }
 
 TEST(ScanTest, ParallelScanMatchesSequential) {
-  Table table = MakeMixedTable(20000, 1024, 404);  // ~20 segments
-  QuerySpec query = MakeQuery(3, true, 600);
-  query.aggregates.push_back(AggregateSpec::Min("wide"));
-  query.aggregates.push_back(AggregateSpec::Max("negative"));
-  auto sequential = test::ExecuteChecked(table, query);
-  ASSERT_TRUE(sequential.ok());
-  for (size_t threads : {2u, 4u, 8u}) {
-    ScanOptions options;
-    options.num_threads = threads;
-    BIPieScan scan(table, query, options);
-    auto parallel = scan.Execute();
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    BIPIE_EXPECT_STATS_INVARIANTS(scan, query, table, &parallel.value());
-    ExpectSameResults(parallel.value(), sequential.value(),
-                      "threads=" + std::to_string(threads));
-    // Aggregate stats must still add up.
-    EXPECT_EQ(scan.stats().rows_scanned, table.num_rows());
-    EXPECT_EQ(scan.stats().segments_scanned, table.num_segments());
+  // ~20 one-morsel segments, then two segments the pool splits into one to
+  // three morsels each.
+  for (const size_t segment_rows : {size_t{1024}, size_t{12288}}) {
+    Table table = MakeMixedTable(20000, segment_rows, 404);
+    QuerySpec query = MakeQuery(3, true, 600);
+    query.aggregates.push_back(AggregateSpec::Min("wide"));
+    query.aggregates.push_back(AggregateSpec::Max("negative"));
+    auto sequential = test::ExecuteChecked(table, query);
+    ASSERT_TRUE(sequential.ok());
+    for (const size_t morsel_rows : {size_t{0}, size_t{4096}, size_t{8192}}) {
+      ScanOptions options;
+      options.num_threads = 0;
+      options.morsel_rows = morsel_rows;
+      BIPieScan scan(table, query, options);
+      auto parallel = scan.Execute();
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      BIPIE_EXPECT_STATS_INVARIANTS(scan, query, table, &parallel.value());
+      ExpectSameResults(parallel.value(), sequential.value(),
+                        "segment_rows=" + std::to_string(segment_rows) +
+                            " morsel_rows=" + std::to_string(morsel_rows));
+      // Aggregate stats must still add up.
+      EXPECT_EQ(scan.stats().rows_scanned, table.num_rows());
+      EXPECT_EQ(scan.stats().segments_scanned, table.num_segments());
+    }
   }
+}
+
+TEST(ScanTest, NumThreadsAboveOneIsRejectedBeforeAnyWork) {
+  // 0 (shared pool) and 1 (inline) are the only execution models; any
+  // other value is an error before admission, and no morsel runs.
+  Table table = MakeMixedTable(8000, 1024, 406);
+  const obs::Counter& morsels = obs::Counter::Get("scan.morsels");
+  const uint64_t before = morsels.value();
+  ScanOptions options;
+  options.num_threads = 2;
+  auto result = test::ExecuteChecked(table, MakeQuery(1, false, 0), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  EXPECT_EQ(morsels.value(), before);
 }
 
 TEST(ScanTest, ParallelScanPropagatesErrors) {
   Table table = MakeMixedTable(8000, 1024, 405);
   QuerySpec query = MakeQuery(1, false, 0);
   ScanOptions options;
-  options.num_threads = 4;
+  options.num_threads = 0;
   // Force an infeasible strategy: in-register cannot take 28-bit + sort
   // needs sums... use in-register with an expression aggregate.
   query.aggregates.push_back(AggregateSpec::SumExpr(

@@ -125,8 +125,9 @@ TEST(ServerTest, ErrorsKeepTheSessionAlive) {
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 
-  // Parse error (positioned), unknown table, unknown setting: all are
-  // structured Error frames, none of them drops the connection.
+  // Parse error (positioned), unknown table, unknown or out-of-range
+  // setting: all are structured Error frames, none of them drops the
+  // connection.
   QueryResult ignored;
   Status st = client.Query("SELECT FROM t", &ignored);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
@@ -138,6 +139,14 @@ TEST(ServerTest, ErrorsKeepTheSessionAlive) {
 
   st = client.Set("no_such_setting", "1");
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+
+  // Only 0 (shared pool) and 1 (inline) execution models exist, and the
+  // table-load settings nothing read are gone.
+  st = client.Set("num_threads", "4");
+  EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
+  st = client.Set("io_strict", "on");
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("unknown setting"), std::string::npos);
 
   QueryResult result;
   st = client.Query("SELECT count(*) FROM t", &result);

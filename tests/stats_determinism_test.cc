@@ -1,6 +1,6 @@
 // ScanStats must be a pure function of (table, query, options modulo
-// parallelism): the same scan at num_threads 0 (shared pool), 1 (inline)
-// and 4 (legacy spawn) must report byte-identical stats and explain JSON
+// parallelism): the same scan at num_threads 0 (shared pool) and 1 (inline)
+// must report byte-identical stats and explain JSON
 // (DESIGN.md §12). This pins down the whole reduction pipeline — per-morsel
 // stats, the work_index-ordered merge, once-per-segment strategy counting —
 // as scheduling-independent; TSan runs this file in CI as the stats-race
@@ -55,7 +55,7 @@ void CheckDeterminism(const Table& table, const QuerySpec& query,
   ScanStats reference{};
   std::string reference_json;
   bool first = true;
-  for (const size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
+  for (const size_t threads : {size_t{0}, size_t{1}}) {
     ScanOptions options = base_options;
     options.num_threads = threads;
     BIPieScan scan(table, query, options);
@@ -146,7 +146,7 @@ TEST(StatsDeterminismTest, UnfilteredScanAcrossThreadCounts) {
 
 TEST(StatsDeterminismTest, RunBasedScanAcrossThreadCounts) {
   // One-morsel segments: run spans never cross a pooled morsel boundary, so
-  // runs_aggregated is identical across all three execution models.
+  // runs_aggregated is identical across both execution models.
   Table table = MakeRunTable(60000, size_t{1} << 16);
   QuerySpec query;
   query.group_by = {"g"};

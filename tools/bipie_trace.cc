@@ -10,7 +10,8 @@
 //     --count             add a count(*) aggregate
 //     --sum COL           add a sum(COL) aggregate (repeatable)
 //     --filter COL,OP,V   add a filter; OP one of lt le gt ge eq ne
-//     --threads N         scan parallelism (0 = shared pool; default 0)
+//     --threads 0|1       scan parallelism: 0 = shared pool (default),
+//                         1 = inline on the calling thread
 //     --out PATH          Chrome trace output (default: bipie_trace.json)
 //     --explain-json PATH also write the explain JSON to PATH
 //
@@ -102,7 +103,7 @@ bool WriteFile(const std::string& path, const std::string& content) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--table PATH] [--group-by COL] [--count] "
-               "[--sum COL] [--filter COL,OP,V] [--threads N] [--out PATH] "
+               "[--sum COL] [--filter COL,OP,V] [--threads 0|1] [--out PATH] "
                "[--explain-json PATH]\n",
                argv0);
   return 2;
@@ -141,8 +142,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--threads" && next(&value)) {
-      num_threads = static_cast<size_t>(std::strtoull(value.c_str(), nullptr,
-                                                      10));
+      if (value != "0" && value != "1") {
+        std::fprintf(stderr,
+                     "bad --threads '%s' (want 0 = shared pool, 1 = inline)\n",
+                     value.c_str());
+        return 2;
+      }
+      num_threads = value == "1" ? 1 : 0;
     } else if (arg == "--out" && next(&value)) {
       out_path = value;
     } else if (arg == "--explain-json" && next(&value)) {

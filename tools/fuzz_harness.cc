@@ -321,10 +321,6 @@ std::vector<Plan> MakePlans(const CaseParams& p) {
     Plan pool{"adaptive/pool", {}};
     pool.options.num_threads = 0;
     plans.push_back(std::move(pool));
-  } else if (p.num_threads > 1) {
-    Plan mt{"adaptive/t" + std::to_string(p.num_threads), {}};
-    mt.options.num_threads = p.num_threads;
-    plans.push_back(std::move(mt));
   }
   const SelectionStrategy sels[3] = {SelectionStrategy::kGather,
                                      SelectionStrategy::kCompact,
@@ -408,12 +404,13 @@ CaseParams MakeCaseParams(uint64_t seed) {
   }
   p.wide_bits =
       rng.NextBernoulli(0.3) ? 41 + static_cast<int>(rng.NextBounded(23)) : 0;
-  // Execution model: shared morsel pool, inline, or legacy per-query
-  // threads, weighted evenly so every model soaks the same case diversity.
+  // Execution model: the shared morsel pool (two branches in three) or
+  // inline. The third branch makes one more draw, as it did when it picked
+  // a per-query thread count, so every later field of a seed is unchanged.
   switch (rng.NextBounded(3)) {
     case 0: p.num_threads = 0; break;
     case 1: p.num_threads = 1; break;
-    default: p.num_threads = 2 + rng.NextBounded(3); break;
+    default: p.num_threads = 0; rng.NextBounded(3); break;
   }
   // A quarter of cases also exercise mid-scan cancellation; small check
   // budgets land the trigger inside the scan rather than after it.
@@ -474,6 +471,11 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
         p.wide_bits = std::stoi(val);
       } else if (key == "num_threads") {
         p.num_threads = std::stoull(val);
+        if (p.num_threads > 1) {
+          *error = "bad value for num_threads: " + val +
+                   " (0 = shared pool, 1 = inline)";
+          return false;
+        }
       } else if (key == "cancel_after") {
         p.cancel_after = std::stoll(val);
       } else if (key == "failpoint_prob") {
@@ -558,9 +560,7 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
   // before noticing the cancel — return the exact oracle result. A row
   // count or sum differing from the oracle means a partial result escaped.
   if (p.cancel_after > 0) {
-    std::vector<size_t> models = {0, 1};
-    if (p.num_threads > 1) models.push_back(p.num_threads);
-    for (size_t threads : models) {
+    for (const size_t threads : {size_t{0}, size_t{1}}) {
       QueryContext context;
       context.CancelAfterChecks(p.cancel_after);
       ScanOptions options;
@@ -597,9 +597,7 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
   // fits) or a structured kResourceExhausted — never a partial aggregate —
   // and the query tracker must be balanced at zero either way.
   if (p.memory_limit > 0) {
-    std::vector<size_t> models = {0, 1};
-    if (p.num_threads > 1) models.push_back(p.num_threads);
-    for (size_t threads : models) {
+    for (const size_t threads : {size_t{0}, size_t{1}}) {
       QueryContext context;
       if (!context.settings()
                .SetUInt64("memory_limit_bytes", p.memory_limit)

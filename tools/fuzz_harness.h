@@ -40,8 +40,7 @@ struct CaseParams {
   int wide_bits = 0;      // >0 adds a wide (41..63 bit) bit-packed column
                           // that filters (and sometimes aggregates) touch
   size_t num_threads = 1; // execution model for the extra adaptive plan:
-                          // 0 = shared morsel pool, 1 = inline only,
-                          // k>1 = legacy per-query threads
+                          // 0 = shared morsel pool, 1 = inline only
   int64_t cancel_after = 0;  // >0 runs a cancellation pass: the context
                              // trips after this many cancellation checks,
                              // and the scan must return kCancelled or the
@@ -84,8 +83,8 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
 
 // Builds the case and runs the full differential matrix:
 //   * the hash-aggregation oracle,
-//   * the adaptive plan inline plus (per p.num_threads) on the shared
-//     morsel pool or with legacy per-query threads,
+//   * the adaptive plan inline plus (when p.num_threads is 0) on the
+//     shared morsel pool,
 //   * every selection x aggregation override combination, plus each
 //     selection-only and aggregation-only override,
 //   * when p.cancel_after > 0, a cancellation pass per execution model:
