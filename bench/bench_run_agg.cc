@@ -13,12 +13,23 @@
 // metadata arithmetic + contiguous horizontal sums replace per-row group
 // mapping), and the adaptive plan on shuffled data stays within noise of
 // the forced row-level plan (admission never fires without runs).
+//
+// Two more cells time the per-segment hash path (DESIGN.md §9.2), the
+// other segment-local alternative to the specialized strategies:
+//   mixed_groups/one_wide_segment  16 segments, one with 300 groups and
+//                                  the rest with 8, filtered grouped SUM
+//   region/wide_int_group          4 merged segments plus n/32 pending
+//                                  rows of a HybridTable, grouped by three
+//                                  status codes 300 apart (DESIGN.md §19)
+// Only the wide segment, and only the pending rows, should run hashed.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/scan.h"
+#include "obs/metrics.h"
+#include "storage/hybrid_table.h"
 
 using namespace bipie;         // NOLINT
 using namespace bipie::bench;  // NOLINT
@@ -113,6 +124,67 @@ double MeasurePlan(const Table& table, const std::string& label,
   return cycles;
 }
 
+// Cycles per row of one query, timed through `run`, plus the segments it
+// hashed per execution (the scan.hash_fallbacks counter).
+double MeasureHashed(const std::string& label, size_t rows,
+                     const std::function<Result<QueryResult>()>& run) {
+  const obs::Counter& hashed = obs::Counter::Get("scan.hash_fallbacks");
+  const uint64_t before = hashed.value();
+  uint64_t executions = 0;
+  const double cycles = MeasureCyclesPerRow(rows, label, [&] {
+    Result<QueryResult> result = run();
+    if (!result.ok()) {
+      std::fprintf(stderr, "%s failed: %s\n", label.c_str(),
+                   result.status().ToString().c_str());
+      std::exit(1);
+    }
+    ++executions;
+    Consume(result.value().rows.data(),
+            result.value().rows.size() * sizeof(ResultRow));
+  });
+  std::printf("%-32s %12.3f %12.2f\n", label.c_str(), cycles,
+              static_cast<double>(hashed.value() - before) /
+                  static_cast<double>(executions));
+  return cycles;
+}
+
+void MeasureHashedSegments(size_t n) {
+  std::printf("\n%-32s %12s %12s\n", "cell", "cycles/row", "hashed/query");
+  QuerySpec query;
+  query.group_by = {"g"};
+  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("v")};
+  query.filters.emplace_back("f", CompareOp::kLt, int64_t{50});
+  Table mixed({{"g", ColumnType::kInt64, EncodingChoice::kDictionary},
+               {"v", ColumnType::kInt64, EncodingChoice::kBitPacked},
+               {"f", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  const size_t segment_rows = (n + 15) / 16;
+  TableAppender app(&mixed, segment_rows);
+  Rng rng(11);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t card = i / segment_rows == 7 ? 300 : 8;
+    app.AppendRow({rng.NextInRange(0, card - 1), rng.NextInRange(0, 999),
+                   rng.NextInRange(0, 99)});
+  }
+  app.Flush();
+  MeasureHashed("mixed_groups/one_wide_segment", n,
+                [&] { return ExecuteQuery(mixed, query); });
+
+  HybridTable hybrid({{"status", ColumnType::kInt64},
+                      {"v", ColumnType::kInt64}},
+                     (n + 3) / 4);
+  hybrid.set_merge_threshold(SIZE_MAX);
+  const int64_t kStatus[3] = {200, 404, 500};
+  for (size_t i = 0; i < n + n / 32; ++i) {
+    if (i == n) hybrid.Merge();
+    hybrid.Insert({kStatus[rng.NextBounded(3)], rng.NextInRange(0, 999)});
+  }
+  QuerySpec by_status;
+  by_status.group_by = {"status"};
+  by_status.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("v")};
+  MeasureHashed("region/wide_int_group", hybrid.num_rows(),
+                [&] { return ExecuteQueryHybrid(hybrid, by_status); });
+}
+
 }  // namespace
 
 int main() {
@@ -155,5 +227,6 @@ int main() {
               shuffle_ratio);
   BenchJsonReport::Get().Add("summary", {{"sorted_speedup", speedup},
                                          {"shuffled_ratio", shuffle_ratio}});
+  MeasureHashedSegments(n);
   return 0;
 }

@@ -4,10 +4,7 @@
 #include <cstring>
 #include <map>
 #include <new>
-#include <vector>
 
-#include "common/aligned_buffer.h"
-#include "common/memory_tracker.h"
 #include "storage/batch.h"
 #include "vector/selection_vector.h"
 
@@ -15,77 +12,14 @@ namespace bipie {
 
 namespace {
 
-// Open-addressing hash table from (up to two) int64 group keys to a dense
-// slot id. Linear probing, power-of-two capacity.
-class GroupHashTable {
- public:
-  explicit GroupHashTable(size_t initial_capacity = 64) {
-    capacity_ = initial_capacity;
-    slots_.assign(capacity_, kEmpty);
-    keys_.reserve(64);
-  }
-
-  // Returns the dense slot for key, inserting if new.
-  uint32_t Probe(int64_t k0, int64_t k1) {
-    for (;;) {
-      size_t pos = Hash(k0, k1) & (capacity_ - 1);
-      for (;;) {
-        const uint32_t slot = slots_[pos];
-        if (slot == kEmpty) {
-          if (keys_.size() * 2 >= capacity_) break;  // grow then retry
-          const uint32_t id = static_cast<uint32_t>(keys_.size());
-          keys_.push_back({k0, k1});
-          slots_[pos] = id;
-          return id;
-        }
-        if (keys_[slot].first == k0 && keys_[slot].second == k1) {
-          return slot;
-        }
-        pos = (pos + 1) & (capacity_ - 1);
-      }
-      Grow();
-    }
-  }
-
-  size_t size() const { return keys_.size(); }
-  const std::pair<int64_t, int64_t>& key(uint32_t slot) const {
-    return keys_[slot];
-  }
-
-  // Heap footprint, for MemoryReservation accounting (std::vector growth
-  // is invisible to the AlignedBuffer tracker path).
-  size_t MemoryBytes() const {
-    return slots_.capacity() * sizeof(uint32_t) +
-           keys_.capacity() * sizeof(keys_[0]);
-  }
-
- private:
-  static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
-
-  static uint64_t Hash(int64_t k0, int64_t k1) {
-    uint64_t h = static_cast<uint64_t>(k0) * 0x9E3779B97F4A7C15ULL;
-    h ^= static_cast<uint64_t>(k1) + 0x9E3779B97F4A7C15ULL + (h << 6) +
-         (h >> 2);
-    h ^= h >> 29;
-    h *= 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 32;
-    return h;
-  }
-
-  void Grow() {
-    capacity_ *= 2;
-    slots_.assign(capacity_, kEmpty);
-    for (uint32_t id = 0; id < keys_.size(); ++id) {
-      size_t pos = Hash(keys_[id].first, keys_[id].second) & (capacity_ - 1);
-      while (slots_[pos] != kEmpty) pos = (pos + 1) & (capacity_ - 1);
-      slots_[pos] = id;
-    }
-  }
-
-  size_t capacity_;
-  std::vector<uint32_t> slots_;
-  std::vector<std::pair<int64_t, int64_t>> keys_;
-};
+uint64_t HashKey(int64_t k0, int64_t k1) {
+  uint64_t h = static_cast<uint64_t>(k0) * 0x9E3779B97F4A7C15ULL;
+  h ^= static_cast<uint64_t>(k1) + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  h ^= h >> 29;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 32;
+  return h;
+}
 
 // Sums are added with overflow checks, row by row and across segments, so
 // a total that does not fit int64 is reported, never wrapped.
@@ -93,76 +27,177 @@ Status SumOverflow() {
   return Status::OverflowRisk("int64 sum overflow during hash aggregation");
 }
 
-Result<QueryResult> ExecuteQueryHashAggImpl(const Table& table,
-                                            const QuerySpec& query,
-                                            QueryContext* context) {
-  std::vector<int> group_cols;
-  for (const std::string& name : query.group_by) {
-    const int idx = table.FindColumn(name);
-    if (idx < 0) return Status::InvalidArgument("unknown column: " + name);
-    group_cols.push_back(idx);
-  }
-  if (group_cols.size() > 2) {
-    return Status::NotSupported("hash baseline supports <= 2 group columns");
-  }
-  std::vector<int> filter_cols;
-  for (const ColumnPredicate& pred : query.filters) {
-    const int idx = table.FindColumn(pred.column_name());
-    if (idx < 0) {
-      return Status::InvalidArgument("unknown column: " + pred.column_name());
+}  // namespace
+
+uint32_t SegmentHashAggregator::Probe(int64_t k0, int64_t k1) {
+  for (;;) {
+    const size_t mask = slots_.size() - 1;
+    size_t pos = HashKey(k0, k1) & mask;
+    for (;;) {
+      const uint32_t slot = slots_[pos];
+      if (slot == kEmptySlot) {
+        if (keys_.size() * 2 >= slots_.size()) break;  // grow then retry
+        const uint32_t id = static_cast<uint32_t>(keys_.size());
+        keys_.push_back({k0, k1});
+        slots_[pos] = id;
+        return id;
+      }
+      if (keys_[slot].first == k0 && keys_[slot].second == k1) return slot;
+      pos = (pos + 1) & mask;
     }
-    filter_cols.push_back(idx);
+    Grow();
   }
-  const size_t num_specs = query.aggregates.size();
-  std::vector<int> agg_cols(num_specs, -1);
-  for (size_t a = 0; a < num_specs; ++a) {
+}
+
+void SegmentHashAggregator::Grow() {
+  slots_.assign(slots_.size() * 2, kEmptySlot);
+  const size_t mask = slots_.size() - 1;
+  for (uint32_t id = 0; id < keys_.size(); ++id) {
+    size_t pos = HashKey(keys_[id].first, keys_[id].second) & mask;
+    while (slots_[pos] != kEmptySlot) pos = (pos + 1) & mask;
+    slots_[pos] = id;
+  }
+}
+
+void SegmentHashAggregator::Bind(const Table& table, const Segment& segment,
+                                 const QuerySpec& query) {
+  segment_ = &segment;
+  query_ = &query;
+  slots_.assign(64, kEmptySlot);
+  for (const std::string& name : query.group_by) {
+    group_cols_.push_back(table.FindColumn(name));
+  }
+  std::vector<bool> needed(table.num_columns(), false);
+  for (const int c : group_cols_) needed[c] = true;
+  agg_cols_.assign(query.aggregates.size(), -1);
+  for (size_t a = 0; a < query.aggregates.size(); ++a) {
     const AggregateSpec& spec = query.aggregates[a];
-    if (spec.kind == AggregateSpec::Kind::kSum ||
-        spec.kind == AggregateSpec::Kind::kAvg ||
-        spec.kind == AggregateSpec::Kind::kMin ||
-        spec.kind == AggregateSpec::Kind::kMax) {
-      agg_cols[a] = table.FindColumn(spec.column);
-      if (agg_cols[a] < 0) {
-        return Status::InvalidArgument("unknown column: " + spec.column);
+    if (spec.kind == AggregateSpec::Kind::kCount) continue;
+    if (spec.kind == AggregateSpec::Kind::kSumExpr) {
+      std::vector<int> cols;
+      spec.expr->CollectColumns(&cols);
+      for (const int c : cols) needed[c] = true;
+      continue;
+    }
+    agg_cols_[a] = table.FindColumn(spec.column);
+    needed[agg_cols_[a]] = true;
+  }
+  for (size_t c = 0; c < needed.size(); ++c) {
+    if (needed[c]) needed_cols_.push_back(static_cast<int>(c));
+  }
+  decoded_.resize(table.num_columns());
+  col_ptrs_.assign(table.num_columns(), nullptr);
+  expr_out_.resize(query.aggregates.size());
+}
+
+Status SegmentHashAggregator::ProcessBatch(size_t start, size_t n,
+                                           const uint8_t* sel) {
+  for (const int c : needed_cols_) {
+    decoded_[c].Resize(n * sizeof(int64_t));
+    segment_->column(c).DecodeInt64(start, n, decoded_[c].data_as<int64_t>());
+    col_ptrs_[c] = decoded_[c].data_as<int64_t>();
+  }
+  const std::vector<AggregateSpec>& specs = query_->aggregates;
+  const size_t num_specs = specs.size();
+  for (size_t a = 0; a < num_specs; ++a) {
+    if (specs[a].kind == AggregateSpec::Kind::kSumExpr) {
+      expr_out_[a].resize(n);
+      specs[a].expr->Evaluate(col_ptrs_.data(), n, expr_out_[a].data());
+    }
+  }
+
+  const int64_t* g0 = group_cols_.empty() ? nullptr : col_ptrs_[group_cols_[0]];
+  const int64_t* g1 =
+      group_cols_.size() < 2 ? nullptr : col_ptrs_[group_cols_[1]];
+  for (size_t i = 0; i < n; ++i) {
+    if (sel != nullptr && sel[i] == 0) continue;
+    const uint32_t slot =
+        Probe(g0 == nullptr ? 0 : g0[i], g1 == nullptr ? 0 : g1[i]);
+    if (slot >= counts_.size()) {
+      counts_.resize(slot + 1, 0);
+      sums_.resize((slot + 1) * num_specs, 0);
+    }
+    const bool fresh = counts_[slot] == 0;
+    ++counts_[slot];
+    int64_t* row = sums_.data() + static_cast<size_t>(slot) * num_specs;
+    for (size_t a = 0; a < num_specs; ++a) {
+      switch (specs[a].kind) {
+        case AggregateSpec::Kind::kCount:
+          break;
+        case AggregateSpec::Kind::kSum:
+        case AggregateSpec::Kind::kAvg:
+          if (__builtin_add_overflow(row[a], col_ptrs_[agg_cols_[a]][i],
+                                     &row[a])) {
+            return SumOverflow();
+          }
+          break;
+        case AggregateSpec::Kind::kSumExpr:
+          if (__builtin_add_overflow(row[a], expr_out_[a][i], &row[a])) {
+            return SumOverflow();
+          }
+          break;
+        case AggregateSpec::Kind::kMin:
+          row[a] = fresh ? col_ptrs_[agg_cols_[a]][i]
+                         : std::min(row[a], col_ptrs_[agg_cols_[a]][i]);
+          break;
+        case AggregateSpec::Kind::kMax:
+          row[a] = fresh ? col_ptrs_[agg_cols_[a]][i]
+                         : std::max(row[a], col_ptrs_[agg_cols_[a]][i]);
+          break;
       }
     }
   }
+  return reservation_.Update(slots_.capacity() * sizeof(uint32_t) +
+                             keys_.capacity() * sizeof(keys_[0]) +
+                             counts_.capacity() * sizeof(uint64_t) +
+                             sums_.capacity() * sizeof(int64_t));
+}
 
+void SegmentHashAggregator::Finish(
+    std::vector<SegmentContribution>* out) const {
+  const size_t num_specs = query_->aggregates.size();
+  for (size_t slot = 0; slot < keys_.size(); ++slot) {
+    SegmentContribution contribution;
+    for (size_t k = 0; k < group_cols_.size(); ++k) {
+      const EncodedColumn& col = segment_->column(group_cols_[k]);
+      const int64_t logical = k == 0 ? keys_[slot].first : keys_[slot].second;
+      GroupValue v;
+      if (col.type() == ColumnType::kString) {
+        v.is_string = true;
+        v.string_value =
+            col.string_dictionary()->value(static_cast<uint32_t>(logical));
+      } else {
+        v.int_value = logical;
+      }
+      contribution.key.push_back(std::move(v));
+    }
+    contribution.count = counts_[slot];
+    contribution.values.assign(sums_.begin() + slot * num_specs,
+                               sums_.begin() + (slot + 1) * num_specs);
+    out->push_back(std::move(contribution));
+  }
+}
+
+namespace {
+
+Result<QueryResult> ExecuteQueryHashAggImpl(const Table& table,
+                                            const QuerySpec& query,
+                                            QueryContext* context) {
+  BIPIE_RETURN_NOT_OK(CheckQuery(table.schema(), query));
+  std::vector<int> filter_cols;
+  for (const ColumnPredicate& pred : query.filters) {
+    filter_cols.push_back(table.FindColumn(pred.column_name()));
+  }
+  const size_t num_specs = query.aggregates.size();
   std::map<std::vector<GroupValue>, ResultRow> merged;
-
   AlignedBuffer sel_buf, sel_tmp;
-  std::vector<AlignedBuffer> decoded(table.num_columns());
-  std::vector<std::vector<int64_t>> expr_out(num_specs);
+  std::vector<SegmentContribution> contributions;
 
   for (size_t s = 0; s < table.num_segments(); ++s) {
     const Segment& segment = table.segment(s);
     if (segment.num_rows() == 0) continue;
-
-    GroupHashTable groups;
-    std::vector<uint64_t> counts;
-    std::vector<int64_t> sums;  // [slot * num_specs + a]
-    // Per-segment charge for the aggregation state (hash table, counts,
-    // sums); re-checked per batch so unbounded group growth hits the
-    // query's limit within one batch.
-    MemoryReservation reservation;
-    const bool segment_group_strings =
-        !group_cols.empty() &&
-        segment.column(group_cols[0]).type() == ColumnType::kString;
-    (void)segment_group_strings;
-
-    // Which columns need decoding per batch.
-    std::vector<bool> needed(table.num_columns(), false);
-    for (int c : group_cols) needed[c] = true;
-    for (int c : agg_cols) {
-      if (c >= 0) needed[c] = true;
-    }
-    for (size_t a = 0; a < num_specs; ++a) {
-      if (query.aggregates[a].kind == AggregateSpec::Kind::kSumExpr) {
-        std::vector<int> cols;
-        query.aggregates[a].expr->CollectColumns(&cols);
-        for (int c : cols) needed[c] = true;
-      }
-    }
+    SegmentHashAggregator aggregator;
+    aggregator.Bind(table, segment, query);
 
     BatchCursor cursor(segment);
     BatchView view;
@@ -172,7 +207,7 @@ Result<QueryResult> ExecuteQueryHashAggImpl(const Table& table,
       }
       const size_t n = view.num_rows;
       // Filter evaluation stays vectorized (shared Filter component); the
-      // aggregation below is the row-at-a-time part under test.
+      // aggregation is the row-at-a-time part under test.
       const uint8_t* sel = nullptr;
       if (!query.filters.empty()) {
         sel_buf.Resize(n);
@@ -196,107 +231,33 @@ Result<QueryResult> ExecuteQueryHashAggImpl(const Table& table,
                        sel_buf.data());
         }
       }
-
-      std::vector<const int64_t*> col_ptrs(table.num_columns(), nullptr);
-      for (size_t c = 0; c < table.num_columns(); ++c) {
-        if (!needed[c]) continue;
-        decoded[c].Resize(n * sizeof(int64_t));
-        segment.column(c).DecodeInt64(view.start, n,
-                                      decoded[c].data_as<int64_t>());
-        col_ptrs[c] = decoded[c].data_as<int64_t>();
-      }
-      for (size_t a = 0; a < num_specs; ++a) {
-        if (query.aggregates[a].kind == AggregateSpec::Kind::kSumExpr) {
-          expr_out[a].resize(n);
-          query.aggregates[a].expr->Evaluate(col_ptrs.data(), n,
-                                             expr_out[a].data());
-        }
-      }
-
-      const int64_t* g0 =
-          group_cols.empty() ? nullptr : col_ptrs[group_cols[0]];
-      const int64_t* g1 =
-          group_cols.size() < 2 ? nullptr : col_ptrs[group_cols[1]];
-      for (size_t i = 0; i < n; ++i) {
-        if (sel != nullptr && sel[i] == 0) continue;
-        const uint32_t slot = groups.Probe(g0 == nullptr ? 0 : g0[i],
-                                           g1 == nullptr ? 0 : g1[i]);
-        if (slot >= counts.size()) {
-          counts.resize(slot + 1, 0);
-          sums.resize((slot + 1) * num_specs, 0);
-        }
-        const bool fresh = counts[slot] == 0;
-        ++counts[slot];
-        int64_t* row = sums.data() + static_cast<size_t>(slot) * num_specs;
-        for (size_t a = 0; a < num_specs; ++a) {
-          switch (query.aggregates[a].kind) {
-            case AggregateSpec::Kind::kCount:
-              break;
-            case AggregateSpec::Kind::kSum:
-            case AggregateSpec::Kind::kAvg:
-              if (__builtin_add_overflow(row[a], col_ptrs[agg_cols[a]][i],
-                                         &row[a])) {
-                return SumOverflow();
-              }
-              break;
-            case AggregateSpec::Kind::kSumExpr:
-              if (__builtin_add_overflow(row[a], expr_out[a][i], &row[a])) {
-                return SumOverflow();
-              }
-              break;
-            case AggregateSpec::Kind::kMin:
-              row[a] = fresh ? col_ptrs[agg_cols[a]][i]
-                             : std::min(row[a], col_ptrs[agg_cols[a]][i]);
-              break;
-            case AggregateSpec::Kind::kMax:
-              row[a] = fresh ? col_ptrs[agg_cols[a]][i]
-                             : std::max(row[a], col_ptrs[agg_cols[a]][i]);
-              break;
-          }
-        }
-      }
-
-      BIPIE_RETURN_NOT_OK(reservation.Update(
-          groups.MemoryBytes() + counts.capacity() * sizeof(uint64_t) +
-          sums.capacity() * sizeof(int64_t)));
+      BIPIE_RETURN_NOT_OK(aggregator.ProcessBatch(view.start, n, sel));
     }
 
-    // Merge this segment's table into global results by decoded value
-    // (string group columns decode ids through the segment dictionary).
-    for (uint32_t slot = 0; slot < groups.size(); ++slot) {
-      std::vector<GroupValue> key;
-      for (size_t k = 0; k < group_cols.size(); ++k) {
-        const EncodedColumn& col = segment.column(group_cols[k]);
-        const int64_t logical =
-            k == 0 ? groups.key(slot).first : groups.key(slot).second;
-        GroupValue v;
-        if (col.type() == ColumnType::kString) {
-          v.is_string = true;
-          v.string_value =
-              col.string_dictionary()->value(static_cast<uint32_t>(logical));
-        } else {
-          v.int_value = logical;
-        }
-        key.push_back(std::move(v));
-      }
-      ResultRow& row = merged[key];
+    // Merge this segment's groups into global results by decoded value.
+    contributions.clear();
+    aggregator.Finish(&contributions);
+    for (const SegmentContribution& c : contributions) {
+      ResultRow& row = merged[c.key];
       const bool fresh = row.sums.empty();
       if (fresh) {
-        row.group = key;
+        row.group = c.key;
         row.sums.assign(num_specs, 0);
       }
-      row.count += counts[slot];
+      row.count += c.count;
       for (size_t a = 0; a < num_specs; ++a) {
-        const int64_t v = sums[static_cast<size_t>(slot) * num_specs + a];
         switch (query.aggregates[a].kind) {
           case AggregateSpec::Kind::kMin:
-            row.sums[a] = fresh ? v : std::min(row.sums[a], v);
+            row.sums[a] =
+                fresh ? c.values[a] : std::min(row.sums[a], c.values[a]);
             break;
           case AggregateSpec::Kind::kMax:
-            row.sums[a] = fresh ? v : std::max(row.sums[a], v);
+            row.sums[a] =
+                fresh ? c.values[a] : std::max(row.sums[a], c.values[a]);
             break;
           default:
-            if (__builtin_add_overflow(row.sums[a], v, &row.sums[a])) {
+            if (__builtin_add_overflow(row.sums[a], c.values[a],
+                                       &row.sums[a])) {
               return SumOverflow();
             }
             break;
@@ -325,8 +286,8 @@ Result<QueryResult> ExecuteQueryHashAgg(const Table& table,
                                         QueryContext* context) {
   // Bind the query's tracker for the whole run: the decode buffers are
   // AlignedBuffers (charged automatically) and the hash-table state goes
-  // through the reservation above. A hard-limit breach on a throwing
-  // Resize path lands here as bad_alloc and degrades to the same
+  // through each aggregator's reservation. A hard-limit breach on a
+  // throwing Resize path lands here as bad_alloc and degrades to the same
   // structured error a failed reservation produces.
   MemoryTrackerScope memory_scope(
       context != nullptr ? &context->memory_tracker() : nullptr);

@@ -30,20 +30,15 @@ GroupValue MakeGroupValue(const DecodedColumn& col, int64_t logical) {
 
 Result<QueryResult> ExecuteQueryNaive(const Table& table,
                                       const QuerySpec& query) {
-  // Resolve column indices.
+  BIPIE_RETURN_NOT_OK(CheckQuery(table.schema(), query));
+  // Resolve column indices (CheckQuery proved every name exists).
   std::vector<int> group_cols;
   for (const std::string& name : query.group_by) {
-    const int idx = table.FindColumn(name);
-    if (idx < 0) return Status::InvalidArgument("unknown column: " + name);
-    group_cols.push_back(idx);
+    group_cols.push_back(table.FindColumn(name));
   }
   std::vector<int> filter_cols;
   for (const ColumnPredicate& pred : query.filters) {
-    const int idx = table.FindColumn(pred.column_name());
-    if (idx < 0) {
-      return Status::InvalidArgument("unknown column: " + pred.column_name());
-    }
-    filter_cols.push_back(idx);
+    filter_cols.push_back(table.FindColumn(pred.column_name()));
   }
 
   std::map<std::vector<GroupValue>, ResultRow> merged;
@@ -83,9 +78,6 @@ Result<QueryResult> ExecuteQueryNaive(const Table& table,
           spec.kind == AggregateSpec::Kind::kMin ||
           spec.kind == AggregateSpec::Kind::kMax) {
         agg_cols[a] = table.FindColumn(spec.column);
-        if (agg_cols[a] < 0) {
-          return Status::InvalidArgument("unknown column: " + spec.column);
-        }
       }
     }
 

@@ -110,9 +110,6 @@ Status PlanSegment(const Table& table, const Segment& segment,
                                        spec.column);
       }
       const EncodedColumn& col = segment.column(static_cast<size_t>(idx));
-      if (col.type() != ColumnType::kInt64) {
-        return Status::NotSupported("aggregates require integer columns");
-      }
       if (col.encoding() == Encoding::kBitPacked) {
         input.column = &col;
         input.bit_width = col.bit_width();
@@ -225,9 +222,7 @@ Status PlanSegment(const Table& table, const Segment& segment,
     }
     const EncodedColumn& col = segment.column(static_cast<size_t>(idx));
     if (pred.MatchesAllRows(col)) continue;  // metadata-satisfied: free
-    // Run verdicts compare integer run values, so a string literal has no
-    // run representation even on an RLE column.
-    if (col.encoding() != Encoding::kRle || pred.is_string()) {
+    if (col.encoding() != Encoding::kRle) {
       run_in.filters_are_runs = false;
       break;
     }
@@ -405,18 +400,6 @@ Status PlanSegment(const Table& table, const Segment& segment,
   decision.special_group_available =
       may_use_special && num_groups + 1 <= GroupCapacity(strategy);
   decision.max_materialized_bits = max_materialized_bits;
-
-  // String columns evaluate through dictionary verdicts, which have no
-  // range form; rejecting here (rather than in the first batch) keeps the
-  // explained plan and the executed one on the same hash fallback.
-  for (const ColumnPredicate& pred : query.filters) {
-    const int idx = table.FindColumn(pred.column_name());
-    if (pred.op() == CompareOp::kBetween && idx >= 0 &&
-        table.schema()[idx].type == ColumnType::kString) {
-      return Status::NotSupported(
-          "BETWEEN on string columns is not supported");
-    }
-  }
   return Status::OK();
 }
 

@@ -71,11 +71,12 @@ struct SegmentPlan {
   PlanDecision decision;
 };
 
-// Plans `segment` for `query` into a freshly constructed `plan`: binds the
-// group mapper, builds the aggregate input descriptors and resolves the
-// aggregation strategy and byteslice admission (respecting overrides). The
-// decision is recorded before any feasibility check can reject the plan,
-// so on failure plan->decision still shows what drove the rejection.
+// Plans `segment` for `query`, which CheckQuery accepted, into a freshly
+// constructed `plan`: binds the group mapper, builds the aggregate input
+// descriptors and resolves the aggregation strategy and byteslice admission
+// (respecting overrides). The decision is recorded before any feasibility
+// check can reject the plan, so on failure plan->decision still shows what
+// drove the rejection.
 Status PlanSegment(const Table& table, const Segment& segment,
                    const QuerySpec& query, const StrategyOverrides& overrides,
                    SegmentPlan* plan);

@@ -15,8 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "expr/arithmetic.h"
 #include "expr/predicate.h"
+#include "storage/types.h"
 
 namespace bipie {
 
@@ -58,6 +60,14 @@ struct QuerySpec {
   std::vector<ColumnPredicate> filters;       // ANDed together
 };
 
+// Checks `query` against `schema` once, before any engine reads a row, so
+// every engine rejects the same queries and no segment sees an ill-typed
+// one: more than two group columns and BETWEEN on a string column are
+// kNotSupported; an unknown column, an aggregate or sum expression over a
+// string column (or outside the schema) and a filter literal whose type
+// differs from its column's are kInvalidArgument.
+Status CheckQuery(const Schema& schema, const QuerySpec& query);
+
 // One output group value: either an int64 or a dictionary-decoded string.
 struct GroupValue {
   bool is_string = false;
@@ -70,6 +80,15 @@ struct GroupValue {
     if (is_string) return string_value < other.string_value;
     return int_value < other.int_value;
   }
+};
+
+// What one morsel of one segment contributes to a query result: one local
+// group, decoded to values (dictionary ids are segment-local), its row
+// count and one value per aggregate spec. Every engine merges these by key.
+struct SegmentContribution {
+  std::vector<GroupValue> key;
+  uint64_t count = 0;
+  std::vector<int64_t> values;  // one per aggregate spec
 };
 
 struct ResultRow {

@@ -24,16 +24,6 @@ namespace bipie {
 // operator< gives deterministic ordering for the sorted output.
 using GroupKey = std::vector<GroupValue>;
 
-namespace internal_scan {
-// What one morsel contributes to the global result.
-struct SegmentContribution {
-  GroupKey key;
-  uint64_t count = 0;
-  std::vector<int64_t> values;  // one per aggregate spec
-};
-}  // namespace internal_scan
-using internal_scan::SegmentContribution;
-
 namespace {
 
 // Per-worker selection scratch, reused across every morsel a thread
@@ -134,22 +124,28 @@ Status BIPieScan::ScanMorsel(const Morsel& morsel,
 }
 
 // Scans one morsel (a batch-aligned row range of one segment) end to end:
-// filter evaluation, fused batch processing, result decode. Thread-safe with
-// respect to other morsels (only reads the table and the segment plan; all
-// mutable state is local or in `stats`, which is private to this morsel).
+// filter evaluation, fused batch processing — or, for a hashed segment, the
+// hash aggregator — and result decode. Thread-safe with respect to other
+// morsels (only reads the table and the segment plan; all mutable state is
+// local or in `stats`, which is private to this morsel).
 Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
                                  const std::vector<int>& filter_cols,
                                  ScanStats* stats,
                                  std::vector<SegmentContribution>* out) {
   const PlannedSegment& planned = *morsel.planned;
-  BIPIE_RETURN_NOT_OK(planned.status);
+  if (!planned.executable()) return planned.status;
   const Segment& segment = table_.segment(planned.segment_index);
   QueryContext* ctx = options_.context;
   BIPIE_TRACE_SPAN_ARG("scan.morsel", "scan", "segment",
                        planned.segment_index);
 
   AggregateProcessor processor;
-  BIPIE_RETURN_NOT_OK(processor.Attach(*planned.plan));
+  SegmentHashAggregator hash;
+  if (planned.hashed) {
+    hash.Bind(table_, segment, query_);
+  } else {
+    BIPIE_RETURN_NOT_OK(processor.Attach(*planned.plan));
+  }
 
   MorselScratch& scratch = ThreadMorselScratch();
   AlignedBuffer& sel_buf = scratch.sel_buf;
@@ -164,7 +160,8 @@ Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
     return Status::ResourceExhausted("morsel selection scratch allocation");
   }
 
-  if (processor.aggregation_strategy() == AggregationStrategy::kRunBased) {
+  if (!planned.hashed &&
+      processor.aggregation_strategy() == AggregationStrategy::kRunBased) {
     BIPIE_RETURN_NOT_OK(RunPipeline(morsel, filter_cols, &processor, stats));
     return FinishMorsel(processor, stats, out);
   }
@@ -212,10 +209,16 @@ Status BIPieScan::ScanMorselImpl(const Morsel& morsel,
     } else {
       stats->rows_selected += view.num_rows;
     }
-    BIPIE_RETURN_NOT_OK(
-        processor.ProcessBatch(view.start, view.num_rows, sel));
+    BIPIE_RETURN_NOT_OK(planned.hashed
+                            ? hash.ProcessBatch(view.start, view.num_rows, sel)
+                            : processor.ProcessBatch(view.start,
+                                                     view.num_rows, sel));
   }
 
+  if (planned.hashed) {
+    hash.Finish(out);
+    return Status::OK();
+  }
   return FinishMorsel(processor, stats, out);
 }
 
@@ -323,13 +326,9 @@ Status BIPieScan::PlanScan(ScanPlan* out) const {
   QueryContext* const ctx = options_.context;
   MemoryTrackerScope memory_scope(ctx != nullptr ? &ctx->memory_tracker()
                                                  : nullptr);
+  BIPIE_RETURN_NOT_OK(CheckQuery(table_.schema(), query_));
   for (const ColumnPredicate& pred : query_.filters) {
-    const int idx = table_.FindColumn(pred.column_name());
-    if (idx < 0) {
-      return Status::InvalidArgument("unknown filter column: " +
-                                     pred.column_name());
-    }
-    out->filter_cols.push_back(idx);
+    out->filter_cols.push_back(table_.FindColumn(pred.column_name()));
   }
   for (size_t s = 0; s < table_.num_segments(); ++s) {
     const Segment& segment = table_.segment(s);
@@ -352,25 +351,17 @@ Status BIPieScan::PlanScan(ScanPlan* out) const {
       planned.plan = std::make_unique<SegmentPlan>();
       planned.status = PlanSegment(table_, segment, query_,
                                    options_.overrides, planned.plan.get());
+      // Outside the specialized envelope (e.g. >255 groups) the segment
+      // runs hashed — unless the caller forced strategies, in which case
+      // the rejection is the answer.
+      planned.hashed = planned.status.code() == StatusCode::kNotSupported &&
+                       !options_.overrides.selection.has_value() &&
+                       !options_.overrides.aggregation.has_value() &&
+                       !options_.overrides.byteslice.has_value();
     }
     out->segments.push_back(std::move(planned));
   }
   return Status::OK();
-}
-
-void BIPieScan::FoldFailure(const Status& st, Status* failure) {
-  if (st.ok()) return;
-  if (failure->ok() || (failure->code() == StatusCode::kNotSupported &&
-                        st.code() != StatusCode::kNotSupported)) {
-    *failure = st;
-  }
-}
-
-bool BIPieScan::FallsBackToHash(const Status& failure) const {
-  return failure.code() == StatusCode::kNotSupported &&
-         !options_.overrides.selection.has_value() &&
-         !options_.overrides.aggregation.has_value() &&
-         !options_.overrides.byteslice.has_value();
 }
 
 Result<QueryResult> BIPieScan::Execute() {
@@ -437,50 +428,47 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
       options_.morsel_rows == 0 ? kDefaultMorselRows : options_.morsel_rows;
   morsel_rows = (morsel_rows + kBatchRows - 1) / kBatchRows * kBatchRows;
   std::vector<Morsel> morsels;
+  size_t hashed_segments = 0;
   for (const PlannedSegment& planned : plan.segments) {
     if (planned.plan == nullptr) continue;  // eliminated
     if (planned.status.ok()) {
       ++stats_.aggregation_segments[static_cast<int>(
           planned.plan->decision.aggregation)];
     }
+    hashed_segments += planned.hashed ? 1 : 0;
     const size_t rows = table_.segment(planned.segment_index).num_rows();
-    // A failed plan needs one morsel: it ranks the planning status at the
+    // A failed plan needs one morsel: it reports the planning status at the
     // segment's first work_index.
-    const size_t step = pooled && planned.status.ok() ? morsel_rows : rows;
+    const size_t step = pooled && planned.executable() ? morsel_rows : rows;
     for (size_t start = 0; start < rows; start += step) {
       morsels.push_back(
           {morsels.size(), start, std::min(step, rows - start), &planned});
     }
   }
 
+  stats_.used_hash_fallback = hashed_segments > 0;
+
   std::vector<std::vector<SegmentContribution>> contributions(morsels.size());
   // Per-morsel status so error selection cannot depend on scheduling: the
-  // failure reported to the caller is always the lowest-indexed real error,
-  // falling back to the lowest-indexed kNotSupported rejection. A real error
-  // (e.g. kOverflowRisk) must never be masked by another morsel's
-  // kNotSupported, which would silently flip the hash-fallback decision with
-  // execution ordering.
+  // failure reported to the caller is always the lowest-indexed error.
   std::vector<Status> morsel_status(morsels.size());
   std::vector<ScanStats> morsel_stats(morsels.size());
 
   // The one per-morsel runner, for both paths. Morsels above the lowest
-  // real-error index recorded so far are skipped: they can never win the
-  // deterministic error selection (real errors outrank kNotSupported, lower
-  // index outranks higher), and their contributions would be discarded with
-  // the failure anyway. Morsels at or below it always run, so the true
-  // minimum is always found and, when no real error exists at all, nothing
-  // is skipped and the kNotSupported reduction sees every morsel. Run in
-  // work_index order (the inline path), the rule stops at the first real
-  // error.
-  std::atomic<size_t> first_real_error{SIZE_MAX};
+  // error index recorded so far are skipped: they can never win the error
+  // selection, and their contributions would be discarded with the failure
+  // anyway. Morsels at or below it always run, so the true minimum is
+  // always found. Run in work_index order (the inline path), the rule stops
+  // at the first error.
+  std::atomic<size_t> first_error{SIZE_MAX};
   const auto run_morsel = [&](const Morsel& morsel) {
     const size_t m = morsel.work_index;
-    if (m > first_real_error.load(std::memory_order_acquire)) return;
+    if (m > first_error.load(std::memory_order_acquire)) return;
     Status st =
         ScanMorsel(morsel, filter_cols, &morsel_stats[m], &contributions[m]);
-    if (!st.ok() && st.code() != StatusCode::kNotSupported) {
-      size_t cur = first_real_error.load(std::memory_order_relaxed);
-      while (m < cur && !first_real_error.compare_exchange_weak(
+    if (!st.ok()) {
+      size_t cur = first_error.load(std::memory_order_relaxed);
+      while (m < cur && !first_error.compare_exchange_weak(
                             cur, m, std::memory_order_acq_rel)) {
       }
     }
@@ -510,10 +498,11 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
   }
 
   // Bulk counter report: the work this scan actually performed, whatever
-  // the outcome below (a fallback or error still burned these cycles).
+  // the outcome below (an error still burned these cycles).
   {
     ScanCounters& c = Counters();
     c.morsels.Add(morsels.size());
+    c.hash_fallbacks.Add(hashed_segments);
     c.segment_plans.Add(plan.segments_scanned);
     c.segments_scanned.Add(stats_.segments_scanned);
     c.segments_eliminated.Add(stats_.segments_eliminated);
@@ -531,36 +520,12 @@ Result<QueryResult> BIPieScan::ExecuteImpl() {
     return Status::Cancelled("query cancelled");
   }
 
-  // Deterministic failure choice over the morsels in work_index order.
-  Status failure;
-  for (const Status& st : morsel_status) FoldFailure(st, &failure);
-
-  if (!failure.ok()) {
-    // Outside the specialized envelope (e.g. >255 combined groups): degrade
-    // gracefully to the generic engine — unless the caller explicitly
-    // forced strategies, in which case the rejection is the answer.
-    if (FallsBackToHash(failure)) {
-      // The progress counters describe the aborted specialized scan, not the
-      // query that is about to run; reset them so callers never see a mix of
-      // the two runs. The segment plan (scanned/eliminated) still stands.
-      stats_.batches = 0;
-      stats_.rows_scanned = 0;
-      stats_.rows_selected = 0;
-      stats_.runs_aggregated = 0;
-      stats_.rows_run_aggregated = 0;
-      stats_.selection = AggregateProcessor::SelectionStats{};
-      for (size_t a = 0; a < kNumAggregationStrategies; ++a) {
-        stats_.aggregation_segments[a] = 0;
-      }
-      stats_.used_hash_fallback = true;
-      Counters().hash_fallbacks.Increment();
-      // The generic engine runs under the same memory limit; the plans'
-      // reservations go first, as a morsel's mapper did at morsel end.
-      plan.segments.clear();
-      return ExecuteQueryHashAgg(table_, query_, ctx);
+  // The lowest-indexed error, the same whatever order the morsels ran in.
+  for (const Status& st : morsel_status) {
+    if (!st.ok()) {
+      Counters().errors.Increment();
+      return st;
     }
-    Counters().errors.Increment();
-    return failure;
   }
 
   // Merge contributions (deterministic: morsel order, then group order).

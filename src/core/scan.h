@@ -5,9 +5,11 @@
 // aggregation strategy for that segment), then walks 4096-row batches —
 // filter evaluation producing a selection byte vector, merge with the
 // deleted-row mask, per-batch selection strategy choice, and fused
-// decode + selection + grouped aggregation. Per-segment local results are
-// merged into global groups by decoded group value (dictionary ids are
-// segment-local).
+// decode + selection + grouped aggregation. A segment outside the
+// specialized envelope (its plan rejected with kNotSupported, no strategy
+// forced) runs the same batch loop into a hash aggregator instead. Per-segment
+// local results are merged into global groups by decoded group value
+// (dictionary ids are segment-local).
 //
 // Parallelism is morsel-driven (src/exec): with num_threads == 0 the scan
 // splits segments into ~64K-row morsels and runs them on the process-wide
@@ -39,10 +41,6 @@ namespace bipie {
 // costs stay far below decode cost.
 inline constexpr size_t kDefaultMorselRows = size_t{1} << 16;
 
-namespace internal_scan {
-struct SegmentContribution;  // defined in scan.cc
-}  // namespace internal_scan
-
 struct ScanOptions {
   StrategyOverrides overrides;
   // Disables min/max segment elimination (benchmarks that must touch every
@@ -72,9 +70,10 @@ struct ScanOptions {
 };
 
 struct ScanStats {
-  // True when the query fell outside the BIPie envelope (e.g. combined
-  // group cardinality above 255) and the scan delegated to the generic
-  // hash-aggregation engine instead.
+  // True when at least one scanned segment fell outside the BIPie envelope
+  // (e.g. combined group cardinality above 255) and ran hashed. Hashed
+  // segments hold no aggregation strategy, so their number is
+  // segments_scanned - sum(aggregation_segments).
   bool used_hash_fallback = false;
   size_t segments_scanned = 0;
   size_t segments_eliminated = 0;
@@ -93,7 +92,7 @@ struct ScanStats {
   uint64_t admission_wait_ns = 0;
   AggregateProcessor::SelectionStats selection;
   // Segments per aggregation strategy, indexed by AggregationStrategy,
-  // counted from the segment plans (one per scanned segment).
+  // counted from the segment plans (one per scanned, unhashed segment).
   size_t aggregation_segments[kNumAggregationStrategies] = {0};
 };
 
@@ -108,10 +107,10 @@ class BIPieScan {
 
   // Runs the planning pass Execute runs, without executing (DESIGN.md
   // §12), and renders its output: per segment, the elimination outcome, the
-  // resolved selection×aggregation strategy, the admission/profitability
-  // inputs that drove the choice and the rejected alternatives — plus the
-  // query-level hash-fallback decision. Rendered via
-  // PlanExplain::ToText()/ToJson(). Defined in src/obs/plan_explain.cc.
+  // resolved selection×aggregation strategy (or the rejection that hashes
+  // it), the admission/profitability inputs that drove the choice and the
+  // rejected alternatives. Rendered via PlanExplain::ToText()/ToJson().
+  // Defined in src/obs/plan_explain.cc.
   Result<PlanExplain> Explain() const;
 
   const ScanStats& stats() const { return stats_; }
@@ -122,7 +121,12 @@ class BIPieScan {
     size_t segment_index = 0;
     int eliminated_by_filter = -1;  // >= 0: metadata proved no row passes
     Status status;                  // planning outcome of a scanned segment
+    // The plan was rejected with kNotSupported and no strategy is forced:
+    // the segment runs hashed, and `status` holds the rejection.
+    bool hashed = false;
     std::unique_ptr<SegmentPlan> plan;  // null when eliminated
+
+    bool executable() const { return status.ok() || hashed; }
   };
 
   // Output of the planning pass shared by Execute and Explain.
@@ -133,20 +137,13 @@ class BIPieScan {
     size_t segments_eliminated = 0;
   };
 
-  // The planning pass: resolves the filter columns, skips empty segments,
-  // applies segment elimination and plans every surviving segment once, on
-  // the calling thread with the query's memory tracker bound (the plans'
-  // group-mapper reservations are charged to the query).
+  // The planning pass: checks the query (CheckQuery), resolves the filter
+  // columns, skips empty segments, applies segment elimination and plans
+  // every surviving segment once, on the calling thread with the query's
+  // memory tracker bound (the plans' group-mapper reservations are charged
+  // to the query). A plan rejected with kNotSupported while no strategy is
+  // forced marks its segment hashed.
   Status PlanScan(ScanPlan* out) const;
-
-  // Folds `st`, the next status in canonical order, into `failure`: the
-  // lowest-indexed real error wins, then the lowest-indexed kNotSupported
-  // rejection.
-  static void FoldFailure(const Status& st, Status* failure);
-
-  // True when `failure` sends the query to the generic hash-aggregation
-  // engine: a kNotSupported rejection with no strategy forced.
-  bool FallsBackToHash(const Status& failure) const;
 
   // One unit of scan work: a batch-aligned row range of one segment.
   // work_index orders morsels canonically (segment order, then range order)
@@ -164,11 +161,10 @@ class BIPieScan {
   // per-morsel status the deterministic error reduction keeps the
   // complete-or-error guarantee under memory pressure.
   Status ScanMorsel(const Morsel& morsel, const std::vector<int>& filter_cols,
-                    ScanStats* stats,
-                    std::vector<internal_scan::SegmentContribution>* out);
+                    ScanStats* stats, std::vector<SegmentContribution>* out);
   Status ScanMorselImpl(const Morsel& morsel,
                         const std::vector<int>& filter_cols, ScanStats* stats,
-                        std::vector<internal_scan::SegmentContribution>* out);
+                        std::vector<SegmentContribution>* out);
 
   Result<QueryResult> ExecuteImpl();
 
@@ -181,7 +177,7 @@ class BIPieScan {
 
   // Shared morsel epilogue: selection stats, Finish, contribution decode.
   Status FinishMorsel(AggregateProcessor& processor, ScanStats* stats,
-                      std::vector<internal_scan::SegmentContribution>* out);
+                      std::vector<SegmentContribution>* out);
 
   const Table& table_;
   QuerySpec query_;

@@ -248,9 +248,6 @@ Result<PlanExplain> BIPieScan::Explain() const {
   explain.segments_scanned = plan.segments_scanned;
   explain.segments_eliminated = plan.segments_eliminated;
 
-  // The query-level outcome follows Execute's failure choice over the
-  // plans in segment order.
-  Status failure;
   for (const PlannedSegment& planned : plan.segments) {
     SegmentExplain seg;
     seg.segment_index = planned.segment_index;
@@ -264,13 +261,18 @@ Result<PlanExplain> BIPieScan::Explain() const {
       explain.segments.push_back(std::move(seg));
       continue;
     }
-    FoldFailure(planned.status, &failure);
     seg.decision = planned.plan->decision;
     if (!planned.status.ok()) {
       seg.bind_ok = false;
       seg.bind_error = planned.status.ToString();
-      seg.bind_not_supported =
-          planned.status.code() == StatusCode::kNotSupported;
+      seg.hashed = planned.hashed;
+      if (planned.hashed) {
+        ++explain.segments_hashed;
+      } else if (!explain.plan_error) {
+        // Execute reports the lowest-indexed error.
+        explain.plan_error = true;
+        explain.plan_error_text = seg.bind_error;
+      }
     } else {
       seg.bind_ok = true;
       const PlanDecision& d = seg.decision;
@@ -287,14 +289,6 @@ Result<PlanExplain> BIPieScan::Explain() const {
       seg.rejected = DeriveRejected(d);
     }
     explain.segments.push_back(std::move(seg));
-  }
-
-  if (FallsBackToHash(failure)) {
-    explain.hash_fallback = true;
-    explain.hash_fallback_reason = failure.ToString();
-  } else if (!failure.ok()) {
-    explain.plan_error = true;
-    explain.plan_error_text = failure.ToString();
   }
   return explain;
 }
@@ -323,12 +317,13 @@ std::string PlanExplain::ToText() const {
   line("filters: " + join(filters));
   if (plan_error) {
     line("outcome: error — " + plan_error_text);
-  } else if (hash_fallback) {
-    line("outcome: hash-aggregation fallback — " + hash_fallback_reason);
   } else {
     line("outcome: specialized scan (" + std::to_string(segments_scanned) +
-         " segments, " + std::to_string(segments_eliminated) +
-         " eliminated)");
+         " segments, " + std::to_string(segments_eliminated) + " eliminated" +
+         (segments_hashed > 0
+              ? ", " + std::to_string(segments_hashed) + " hashed"
+              : "") +
+         ")");
   }
 
   for (const SegmentExplain& seg : segments) {
@@ -338,6 +333,10 @@ std::string PlanExplain::ToText() const {
       line("  eliminated by filter[" +
            std::to_string(seg.eliminated_by_filter) + "]: " +
            seg.eliminated_by);
+      continue;
+    }
+    if (seg.hashed) {
+      line("  aggregation: hash (" + seg.bind_error + ")");
       continue;
     }
     if (!seg.bind_ok) {
@@ -417,14 +416,14 @@ std::string PlanExplain::ToJson(int indent) const {
   if (plan_error) {
     w.KV("kind", "error");
     w.KV("reason", plan_error_text);
-  } else if (hash_fallback) {
-    w.KV("kind", "hash_fallback");
-    w.KV("reason", hash_fallback_reason);
   } else {
     w.KV("kind", "specialized_scan");
   }
   w.KV("segments_scanned", segments_scanned);
   w.KV("segments_eliminated", segments_eliminated);
+  // Only a plan with hashed segments carries the key, so the JSON of every
+  // fully specialized plan stays as it was.
+  if (segments_hashed > 0) w.KV("segments_hashed", segments_hashed);
   w.EndObject();
 
   w.Key("segments").BeginArray();
@@ -439,9 +438,16 @@ std::string PlanExplain::ToJson(int indent) const {
       w.EndObject();
       continue;
     }
+    if (seg.hashed) {
+      w.Key("aggregation").BeginObject();
+      w.KV("strategy", "hash");
+      w.KV("reason", seg.bind_error);
+      w.EndObject();
+      w.EndObject();
+      continue;
+    }
     if (!seg.bind_ok) {
       w.KV("bind_error", seg.bind_error);
-      w.KV("bind_not_supported", seg.bind_not_supported);
       w.EndObject();
       continue;
     }

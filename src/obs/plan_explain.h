@@ -2,12 +2,12 @@
 //
 // BIPieScan::Explain() runs the planning pass Execute() runs — segment
 // elimination, one SegmentPlan per surviving segment with every
-// admission/profitability input — and renders it, adding the predicted
-// per-batch selection choice and the query-level hash-fallback, without
-// touching a single encoded byte beyond metadata. The result renders as human-readable text and as stable
-// JSON (fixed key order, fixed number formatting) suitable for golden
-// tests: the same table + query + options produce byte-identical output on
-// every machine and at every thread count.
+// admission/profitability input, the segments that run hashed — and renders
+// it, adding the predicted per-batch selection choice, without touching a
+// single encoded byte beyond metadata. The result renders as human-readable
+// text and as stable JSON (fixed key order, fixed number formatting)
+// suitable for golden tests: the same table + query + options produce
+// byte-identical output on every machine and at every thread count.
 #ifndef BIPIE_OBS_PLAN_EXPLAIN_H_
 #define BIPIE_OBS_PLAN_EXPLAIN_H_
 
@@ -37,12 +37,13 @@ struct SegmentExplain {
   std::string eliminated_by;      // rendered predicate
 
   // Strategy resolution (meaningful when !eliminated), copied from the
-  // segment's SegmentPlan. A failed plan (forced-plan rejection, overflow
-  // abort, >255 groups) keeps bind_ok false with the status text; decision
-  // still holds the recorded inputs.
+  // segment's SegmentPlan. A rejected plan keeps bind_ok false with the
+  // status text: a segment outside the envelope (>255 groups, say) runs
+  // hashed, a forced-plan rejection or overflow abort is the query's error.
+  // decision still holds the recorded inputs.
   bool bind_ok = false;
   std::string bind_error;
-  bool bind_not_supported = false;  // the kNotSupported (fallback) class
+  bool hashed = false;
   PlanDecision decision;
 
   // The per-batch selection prediction at decision.expected_selectivity
@@ -66,12 +67,10 @@ struct PlanExplain {
   size_t segments_eliminated = 0;
   bool segment_elimination_enabled = true;
 
-  // Query-level outcome Execute() would reach: delegate to the generic
-  // hash-aggregation engine (adaptive plan outside the specialized
-  // envelope), fail with the recorded error (forced plan infeasible,
-  // overflow risk), or run the specialized scan.
-  bool hash_fallback = false;
-  std::string hash_fallback_reason;
+  // Query-level outcome Execute() would reach: fail with the first recorded
+  // error (forced plan infeasible, overflow risk), or run the scan with
+  // segments_hashed of its segments on the hash aggregator.
+  size_t segments_hashed = 0;
   bool plan_error = false;       // forced/overflow rejection Execute returns
   std::string plan_error_text;
 

@@ -66,7 +66,7 @@ struct QueryStatsWire {
   uint64_t queue_wait_ns = 0;
   uint64_t exec_ns = 0;
   uint64_t peak_memory_bytes = 0;
-  bool used_hash_fallback = false;
+  bool used_hash_fallback = false;  // at least one segment ran hashed
   // The server's degraded-mode flag at reply time: true while the overload
   // shed policy is rejecting low-band queries (soft memory limit latched or
   // queue wait over the shed threshold). Lets clients and load balancers

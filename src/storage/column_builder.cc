@@ -333,24 +333,6 @@ Result<EncodedColumn> ColumnBuilder::ByteAlignedInts(const int64_t* values,
   return col;
 }
 
-Result<EncodedColumn> ColumnBuilder::ByteIdInts(const int64_t* values,
-                                                size_t n, int64_t min,
-                                                int64_t max) {
-  EncodedColumn col;
-  col.encoding_ = Encoding::kDictionary;
-  col.meta_ = {min, max, n};
-  col.bit_width_ = 8;
-  if (!col.packed_.TryResize(n)) return RegionLimit();
-  auto dict = std::make_shared<IntDictionary>();
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t id = dict->GetOrInsert(values[i]);
-    if (id > 255) return Status::NotSupported("more than 256 distinct values");
-    col.packed_.data()[i] = static_cast<uint8_t>(id);
-  }
-  col.int_dict_ = std::move(dict);
-  return col;
-}
-
 Result<EncodedColumn> ColumnBuilder::ByteAlignedIds(
     const uint32_t* ids, size_t n,
     std::shared_ptr<StringDictionary> dictionary) {

@@ -85,10 +85,6 @@ class ColumnBuilder {
   static Result<EncodedColumn> ByteAlignedInts(const int64_t* values,
                                                size_t n, int64_t min,
                                                int64_t max);
-  // An int column dictionary-coded in first-occurrence order with one-byte
-  // ids; kNotSupported when values[0..n) hold more than 256 distinct values.
-  static Result<EncodedColumn> ByteIdInts(const int64_t* values, size_t n,
-                                          int64_t min, int64_t max);
   // A string column: ids[0..n) into `dictionary`, which the column shares.
   static Result<EncodedColumn> ByteAlignedIds(
       const uint32_t* ids, size_t n,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/memory_tracker.h"
-#include "core/group_mapper.h"
 
 namespace bipie {
 
@@ -73,47 +72,19 @@ void HybridTable::ResetRegion() {
 }
 
 Result<std::shared_ptr<Segment>> HybridTable::RegionSegment(
-    const QuerySpec& query, MemoryTracker* tracker) const {
+    MemoryTracker* tracker) const {
   if (mutable_rows_ == 0) return std::shared_ptr<Segment>();
-  // The group ids the query's group-by columns would get, combined, each
-  // capped just past the scan's group cap. Past that cap, int group-by
-  // columns are dictionary-coded (as kAuto codes a merged segment), so a
-  // wide range holding few values still groups in the specialized scan.
-  constexpr uint64_t kCap = GroupMapper::kMaxGroups;
-  std::vector<bool> group_column(schema_.size());
-  uint64_t group_ids = 1;
-  for (const std::string& name : query.group_by) {
-    const int c = immutable_.FindColumn(name);
-    if (c < 0) continue;
-    const RegionColumn& region = region_[c];
-    const uint64_t span = static_cast<uint64_t>(region.max) -
-                          static_cast<uint64_t>(region.min);
-    group_column[c] = true;
-    group_ids *= region.dictionary != nullptr
-                     ? std::min(region.dictionary->size(), kCap + 1)
-                     : std::min(span, kCap) + 1;
-  }
-  auto build = [&](size_t c) -> Result<EncodedColumn> {
-    const RegionColumn& region = region_[c];
-    if (region.dictionary != nullptr) {
-      return ColumnBuilder::ByteAlignedIds(region.ids.data(), mutable_rows_,
-                                           region.dictionary);
-    }
-    if (group_column[c] && group_ids > kCap) {
-      // More than 256 values stay bit-packed: the plan is rejected and
-      // the hash engine answers.
-      Result<EncodedColumn> ids = ColumnBuilder::ByteIdInts(
-          region.ints.data(), mutable_rows_, region.min, region.max);
-      if (ids.status().code() != StatusCode::kNotSupported) return ids;
-    }
-    return ColumnBuilder::ByteAlignedInts(region.ints.data(), mutable_rows_,
-                                          region.min, region.max);
-  };
   MemoryTrackerScope memory_scope(tracker);
   std::vector<EncodedColumn> columns;
   columns.reserve(schema_.size());
-  for (size_t c = 0; c < schema_.size(); ++c) {
-    Result<EncodedColumn> column = build(c);
+  for (const RegionColumn& region : region_) {
+    Result<EncodedColumn> column =
+        region.dictionary != nullptr
+            ? ColumnBuilder::ByteAlignedIds(region.ids.data(), mutable_rows_,
+                                            region.dictionary)
+            : ColumnBuilder::ByteAlignedInts(region.ints.data(),
+                                             mutable_rows_, region.min,
+                                             region.max);
     if (!column.ok()) return column.status();
     columns.push_back(std::move(column.value()));
   }
@@ -124,8 +95,8 @@ Result<QueryResult> ExecuteQueryHybrid(const HybridTable& table,
                                        const QuerySpec& query,
                                        ScanOptions options) {
   QueryContext* const ctx = options.context;
-  Result<std::shared_ptr<Segment>> region = table.RegionSegment(
-      query, ctx != nullptr ? &ctx->memory_tracker() : nullptr);
+  Result<std::shared_ptr<Segment>> region =
+      table.RegionSegment(ctx != nullptr ? &ctx->memory_tracker() : nullptr);
   if (!region.ok()) return region.status();
   const Table view(table.immutable(), std::move(region.value()));
   return ExecuteQuery(view, query, std::move(options));

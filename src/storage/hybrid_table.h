@@ -13,7 +13,7 @@
 // one more read-only segment, built for that query alone. Fresh rows are
 // visible immediately, before any merge (the real-time-analytics
 // contract), and go through the same planning, segment elimination,
-// kernels and hash fallback as encoded rows.
+// kernels and per-segment hash path as encoded rows.
 #ifndef BIPIE_STORAGE_HYBRID_TABLE_H_
 #define BIPIE_STORAGE_HYBRID_TABLE_H_
 
@@ -78,14 +78,13 @@ class HybridTable {
   // Empties the region; string columns start a new dictionary.
   void ResetRegion();
 
-  // The pending rows as one read-only segment for `query` (null when there
-  // are none): each int column bit-packed at a byte-aligned width over its
-  // region min (or, for a group-by column that would give more than 255
-  // groups, dictionary-coded), each string column dictionary-coded over the
-  // region dictionary. Its buffers are charged to `tracker` (null: the
-  // thread-current one); kResourceExhausted when a limit refuses them.
-  Result<std::shared_ptr<Segment>> RegionSegment(
-      const QuerySpec& query, MemoryTracker* tracker) const;
+  // The pending rows as one read-only segment (null when there are none):
+  // each int column bit-packed at a byte-aligned width over its region min,
+  // each string column dictionary-coded over the region dictionary. A
+  // group-by over a wide int range therefore runs this segment hashed. Its
+  // buffers are charged to `tracker` (null: the thread-current one);
+  // kResourceExhausted when a limit refuses them.
+  Result<std::shared_ptr<Segment>> RegionSegment(MemoryTracker* tracker) const;
 
   Schema schema_;
   Table immutable_;

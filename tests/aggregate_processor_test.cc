@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "core/scan.h"
-#include "obs/plan_explain.h"
 #include "storage/table.h"
 
 namespace bipie {
@@ -51,47 +49,6 @@ TEST(AggregateProcessorTest, BindResolvesStrategyFromMetadata) {
   EXPECT_EQ(processor.num_groups(), 5);
 }
 
-TEST(AggregateProcessorTest, BindRejectsStringAggregate) {
-  Table table({{"s", ColumnType::kString}});
-  TableAppender app(&table, 16);
-  app.AppendRow({0}, {"a"});
-  app.Flush();
-  QuerySpec query;
-  query.aggregates = {AggregateSpec::Sum("s")};
-  AggregateProcessor processor;
-  EXPECT_EQ(processor.Bind(table, table.segment(0), query, {}).code(),
-            StatusCode::kNotSupported);
-}
-
-TEST(AggregateProcessorTest, PlanRejectsBetweenOnStringColumn) {
-  // Dictionary verdicts have no range form. Planning rejects the filter,
-  // so Explain shows the hash fallback Execute takes (where the generic
-  // engine rejects it too), not a specialized scan that fails mid-batch.
-  Table table({{"s", ColumnType::kString},
-               {"x", ColumnType::kInt64, EncodingChoice::kBitPacked}});
-  TableAppender app(&table, 64);
-  for (int i = 0; i < 100; ++i) {
-    app.AppendRow({0, i}, {i % 2 == 0 ? "a" : "b"});
-  }
-  app.Flush();
-  QuerySpec query;
-  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("x")};
-  query.filters.emplace_back("s", CompareOp::kBetween, std::string("a"));
-
-  SegmentPlan plan;
-  EXPECT_EQ(PlanSegment(table, table.segment(0), query, {}, &plan).code(),
-            StatusCode::kNotSupported);
-  EXPECT_EQ(plan.decision.num_sums, 1);  // recorded before the rejection
-
-  BIPieScan scan(table, query);
-  auto explain = scan.Explain();
-  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
-  EXPECT_TRUE(explain.value().hash_fallback);
-  EXPECT_NE(explain.value().hash_fallback_reason.find("BETWEEN"),
-            std::string::npos);
-  EXPECT_EQ(scan.Execute().status().code(), StatusCode::kNotSupported);
-}
-
 TEST(AggregateProcessorTest, BindRejectsInfeasibleForcedStrategies) {
   ProcessorFixture f;
   // In-register cannot take expression aggregates.
@@ -116,6 +73,14 @@ TEST(AggregateProcessorTest, BindRejectsInfeasibleForcedStrategies) {
   EXPECT_EQ(
       processor.Bind(f.table, f.segment(), wide_query, overrides).code(),
       StatusCode::kNotSupported);
+  // The rejected plan still records what drove the rejection (Explain
+  // renders it).
+  SegmentPlan plan;
+  EXPECT_EQ(PlanSegment(f.table, f.segment(), wide_query, overrides, &plan)
+                .code(),
+            StatusCode::kNotSupported);
+  EXPECT_EQ(plan.decision.num_sums, 5);
+  EXPECT_FALSE(plan.decision.multi_aggregate_fits);
 
   // Sort-based needs at least one sum.
   QuerySpec count_query;

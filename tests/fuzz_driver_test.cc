@@ -1,7 +1,7 @@
 // Bounded differential fuzzing plus distilled regression tests for the bugs
 // the harness was built to catch: scheduling-dependent error selection,
-// stale stats across the hash fallback, first-contribution detection in the
-// merge loop, and non-canonical selection byte vectors.
+// stats of hashed segments, first-contribution detection in the merge loop,
+// and non-canonical selection byte vectors.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -100,12 +100,13 @@ TEST(FuzzDriver, RunClusteredCasesRunGreen) {
 // ---------------------------------------------------------------------------
 // Regression: deterministic error selection in BIPieScan::Execute.
 //
-// Segment 0 rejects at bind time (301 distinct groups > 255); segment 1
-// overflows int64 during the checked-scalar scan. The scan used to stop at
-// the first error (and, multithreaded, report whichever segment's status was
-// written last), so the kNotSupported rejection could mask the overflow and
-// silently reroute the query into the hash fallback. The real error must win
-// regardless of segment order or thread scheduling.
+// Segment 0 is outside the specialized envelope (301 distinct groups > 255)
+// and runs hashed; segment 1 overflows int64 during the checked-scalar
+// scan. The scan used to stop at the first error (and, multithreaded,
+// report whichever segment's status was written last), so segment 0's
+// rejection could mask the overflow and reroute the query into the hash
+// engine. The overflow must fail the query regardless of thread
+// scheduling.
 // ---------------------------------------------------------------------------
 
 Table MakeOverflowAfterNotSupportedTable() {
@@ -132,17 +133,17 @@ QuerySpec SumByGroupQuery() {
   return query;
 }
 
-TEST(ScanErrorPriority, OverflowBeatsNotSupportedSingleThread) {
+TEST(ScanErrorPriority, HashedSegmentDoesNotMaskOverflowSingleThread) {
   const Table table = MakeOverflowAfterNotSupportedTable();
   BIPieScan scan(table, SumByGroupQuery(), ScanOptions{});
   auto result = scan.Execute();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOverflowRisk)
       << result.status().ToString();
-  EXPECT_FALSE(scan.stats().used_hash_fallback);
+  EXPECT_TRUE(scan.stats().used_hash_fallback);  // segment 0 ran hashed
 }
 
-TEST(ScanErrorPriority, OverflowBeatsNotSupportedMultiThread) {
+TEST(ScanErrorPriority, HashedSegmentDoesNotMaskOverflowMultiThread) {
   const Table table = MakeOverflowAfterNotSupportedTable();
   for (int trial = 0; trial < 20; ++trial) {
     ScanOptions options;
@@ -152,17 +153,16 @@ TEST(ScanErrorPriority, OverflowBeatsNotSupportedMultiThread) {
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kOverflowRisk)
         << "trial " << trial << ": " << result.status().ToString();
-    EXPECT_FALSE(scan.stats().used_hash_fallback);
+    EXPECT_TRUE(scan.stats().used_hash_fallback);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Regression: the hash fallback used to leave the aborted specialized scan's
-// progress counters (batches, rows_scanned, per-strategy tallies) in stats_,
-// describing a scan whose results were discarded.
+// A hashed segment runs the scan's own batch loop, so the progress counters
+// describe every segment of the one scan that produced the result.
 // ---------------------------------------------------------------------------
 
-TEST(ScanFallbackStats, FallbackResetsSpecializedProgress) {
+TEST(ScanHashedStats, ProgressCountsHashedAndSpecializedSegments) {
   Schema schema;
   schema.push_back({"g", ColumnType::kInt64, EncodingChoice::kDictionary});
   schema.push_back({"v", ColumnType::kInt64, EncodingChoice::kBitPacked});
@@ -178,14 +178,17 @@ TEST(ScanFallbackStats, FallbackResetsSpecializedProgress) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const ScanStats& stats = scan.stats();
   EXPECT_TRUE(stats.used_hash_fallback);
-  // Progress counters must describe the query that produced the result (the
-  // hash fallback), not the aborted specialized attempt over segment 0.
-  EXPECT_EQ(stats.batches, 0u);
-  EXPECT_EQ(stats.rows_scanned, 0u);
-  EXPECT_EQ(stats.rows_selected, 0u);
-  for (int a = 0; a < 5; ++a) EXPECT_EQ(stats.aggregation_segments[a], 0u);
+  // One batch per segment; segment 0 holds the one planned strategy.
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.rows_scanned, 701u);
+  EXPECT_EQ(stats.rows_selected, 701u);
+  size_t planned = 0;
+  for (int a = 0; a < kNumAggregationStrategies; ++a) {
+    planned += stats.aggregation_segments[a];
+  }
+  EXPECT_EQ(planned, 1u);
 
-  // And the fallback answer itself matches the oracle.
+  // And the merged answer matches the oracle.
   auto oracle = ExecuteQueryHashAgg(table, SumByGroupQuery());
   ASSERT_TRUE(oracle.ok());
   ASSERT_EQ(result.value().rows.size(), oracle.value().rows.size());

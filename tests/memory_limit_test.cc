@@ -1,7 +1,6 @@
 // Memory governance end to end (DESIGN.md §13): per-query and process-wide
 // limits driven through every allocation path — specialized scan, pooled
-// morsel execution, run-level pipeline, the generic hash-aggregation
-// fallback, and table IO. Overcommit must surface as kResourceExhausted
+// morsel execution, run-level pipeline, hashed segments, and table IO. Overcommit must surface as kResourceExhausted
 // (complete-or-error, never a crash, never a partial result) and every
 // failed query must leave its tracker balanced at zero — ExecuteChecked
 // asserts that balance on every run below.
@@ -147,32 +146,38 @@ TEST(MemoryLimitTest, RunPipelineUnderTinyLimitFailsStructurally) {
 }
 
 TEST(MemoryLimitTest, HashFallbackUnderTinyLimitFailsStructurally) {
-  // Group cardinality above 255 pushes the query outside the BIPie envelope
-  // into the generic hash engine, which is governed by the same tracker.
+  // Group cardinality above 255 puts every segment outside the BIPie
+  // envelope, so each runs hashed; its hash tables are charged to the same
+  // tracker — by pool workers too (num_threads 0).
   Table table = MakeBitPackedTable(20000, 4096, 1000, 4);
   const QuerySpec query = MakeQuery(false);
 
-  QueryContext context;
-  ConfigureLimit(&context, kTinyLimit);
-  ScanOptions options;
-  options.context = &context;
-  Result<QueryResult> got = test::ExecuteChecked(table, query, options);
-  EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted)
-      << got.status().ToString();
-  EXPECT_EQ(context.memory_tracker().used(), 0u);
+  for (const size_t threads : {size_t{1}, size_t{0}}) {
+    QueryContext context;
+    ConfigureLimit(&context, kTinyLimit);
+    ScanOptions options;
+    options.context = &context;
+    options.num_threads = threads;
+    Result<QueryResult> got = test::ExecuteChecked(table, query, options);
+    EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted)
+        << got.status().ToString();
+    EXPECT_EQ(context.memory_tracker().used(), 0u);
 
-  // With room to work, the fallback still runs to completion and reports
-  // itself honestly.
-  QueryContext roomy;
-  ConfigureLimit(&roomy, kGenerousLimit);
-  ScanOptions roomy_options;
-  roomy_options.context = &roomy;
-  BIPieScan scan(table, query, roomy_options);
-  Result<QueryResult> ok = scan.Execute();
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_TRUE(scan.stats().used_hash_fallback);
-  EXPECT_EQ(ok.value().rows.size(), 1000u);
-  EXPECT_EQ(roomy.memory_tracker().used(), 0u);
+    // With room to work, the hashed segments still run to completion and
+    // the scan reports them honestly.
+    QueryContext roomy;
+    ConfigureLimit(&roomy, kGenerousLimit);
+    ScanOptions roomy_options;
+    roomy_options.context = &roomy;
+    roomy_options.num_threads = threads;
+    BIPieScan scan(table, query, roomy_options);
+    Result<QueryResult> ok = scan.Execute();
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_TRUE(scan.stats().used_hash_fallback);
+    EXPECT_EQ(ok.value().rows.size(), 1000u);
+    EXPECT_GT(roomy.memory_tracker().peak(), 0u);
+    EXPECT_EQ(roomy.memory_tracker().used(), 0u);
+  }
 }
 
 TEST(MemoryLimitTest, HybridRegionSegmentIsGoverned) {

@@ -322,26 +322,5 @@ TEST(RunPipelineTest, ShortSpansUnderSelectiveFilterStayRunBased) {
   EXPECT_GT(scan.stats().runs_aggregated, 0u);
 }
 
-// Run verdicts compare integer run values, so a string literal on an RLE
-// column keeps the segment on the row path; the plan says so up front
-// instead of the run pipeline rejecting it mid-scan into a hash fallback.
-TEST(RunPipelineTest, StringLiteralFilterIsNotRunShaped) {
-  Table table = MakeRunTable(60000, size_t{1} << 17, 7011);
-  QuerySpec query = MakeRunQuery(/*with_filter=*/false);
-  query.filters.emplace_back("f", CompareOp::kNe, std::string("x"));
-  auto expected = ExecuteQueryHashAgg(table, query);
-  ASSERT_TRUE(expected.ok());
-  BIPieScan scan(table, query, {});
-  auto got = scan.Execute();
-  ASSERT_TRUE(got.ok()) << got.status().message();
-  BIPIE_EXPECT_STATS_INVARIANTS(scan, query, table, &got.value());
-  ExpectSameResults(got.value(), expected.value(), "string-literal");
-  EXPECT_FALSE(scan.stats().used_hash_fallback);
-  EXPECT_EQ(scan.stats().runs_aggregated, 0u);
-  const std::vector<std::string> disagreements =
-      test::ExplainDisagreements(scan);
-  EXPECT_TRUE(disagreements.empty()) << disagreements.front();
-}
-
 }  // namespace
 }  // namespace bipie

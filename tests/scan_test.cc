@@ -517,6 +517,128 @@ TEST(ScanTest, OversizedGroupCardinalityFallsBackToHashEngine) {
             StatusCode::kNotSupported);
 }
 
+// Sixteen segments of eight groups, except that segment `wide` has 300:
+// each segment draws from its own seed, so a table without `wide` holds the
+// other fifteen unchanged.
+Table MakeOneWideSegmentTable(size_t wide, bool include_wide) {
+  Table table({{"g", ColumnType::kInt64, EncodingChoice::kDictionary},
+               {"v", ColumnType::kInt64, EncodingChoice::kBitPacked},
+               {"f", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  TableAppender app(&table, 2 * kBatchRows);
+  for (size_t s = 0; s < 16; ++s) {
+    if (s == wide && !include_wide) continue;
+    Rng rng(700 + s);
+    const int64_t card = s == wide ? 300 : 8;
+    for (size_t i = 0; i < 2 * kBatchRows; ++i) {
+      app.AppendRow({rng.NextInRange(0, card - 1), rng.NextInRange(0, 999),
+                     rng.NextInRange(0, 99)});
+    }
+  }
+  app.Flush();
+  return table;
+}
+
+TEST(ScanTest, OneWideSegmentRunsHashedAndTheRestKeepTheirStrategies) {
+  constexpr size_t kWide = 5;
+  const Table table = MakeOneWideSegmentTable(kWide, true);
+  const Table rest = MakeOneWideSegmentTable(kWide, false);
+  ASSERT_EQ(table.num_segments(), 16u);
+  QuerySpec query;
+  query.group_by = {"g"};
+  query.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("v")};
+  query.filters.emplace_back("f", CompareOp::kLt, int64_t{50});
+  auto expected = ExecuteQueryNaive(table, query);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const obs::Counter& hashed = obs::Counter::Get("scan.hash_fallbacks");
+  for (const size_t threads : {size_t{0}, size_t{1}}) {
+    const std::string context = "num_threads=" + std::to_string(threads);
+    ScanOptions options;
+    options.num_threads = threads;
+    BIPieScan scan(table, query, options);
+    const uint64_t hashed_before = hashed.value();
+    auto got = scan.Execute();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    BIPIE_EXPECT_STATS_INVARIANTS(scan, query, table, &got.value());
+    EXPECT_TRUE(test::ExplainDisagreements(scan).empty()) << context;
+    ExpectSameResults(got.value(), expected.value(), context);
+    const ScanStats& stats = scan.stats();
+    EXPECT_TRUE(stats.used_hash_fallback) << context;
+    EXPECT_EQ(stats.segments_scanned, 16u) << context;
+    EXPECT_EQ(test::StatsInvariants::StrategyTotal(stats), 15u) << context;
+    EXPECT_EQ(hashed.value() - hashed_before, 1u) << context;
+
+    // The fifteen narrow segments plan and select as they do alone; the
+    // hashed one adds its batches and no selection decision.
+    BIPieScan narrow(rest, query, options);
+    ASSERT_TRUE(narrow.Execute().ok());
+    for (size_t a = 0; a < kNumAggregationStrategies; ++a) {
+      EXPECT_EQ(stats.aggregation_segments[a],
+                narrow.stats().aggregation_segments[a])
+          << context << " strategy " << a;
+    }
+    EXPECT_EQ(stats.selection.gather, narrow.stats().selection.gather);
+    EXPECT_EQ(stats.selection.compact, narrow.stats().selection.compact);
+    EXPECT_EQ(stats.selection.special_group,
+              narrow.stats().selection.special_group);
+    EXPECT_EQ(stats.selection.unfiltered, narrow.stats().selection.unfiltered);
+    EXPECT_EQ(stats.batches, narrow.stats().batches + 2) << context;
+    EXPECT_EQ(stats.rows_scanned, table.num_rows()) << context;
+  }
+}
+
+// Type errors belong to the query, not to a segment: every engine rejects
+// them before reading a row, so none sums dictionary ids as numbers or
+// compares an int column with a string literal's placeholder value.
+TEST(ScanTest, IllTypedQueriesAreRejectedByEveryEngine) {
+  Table table({{"g", ColumnType::kInt64, EncodingChoice::kDictionary},
+               {"s", ColumnType::kString},
+               {"x", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  TableAppender app(&table, 4);
+  for (int i = 0; i < 9; ++i) {
+    app.AppendRow({i % 2, 0, i}, {"", i % 3 == 0 ? "abc" : "xyz", ""});
+  }
+  app.Flush();
+  auto grouped = [](AggregateSpec spec) {
+    QuerySpec query;
+    query.group_by = {"g"};
+    query.aggregates = {std::move(spec)};
+    return query;
+  };
+  auto counted = [](ColumnPredicate pred) {
+    QuerySpec query;
+    query.aggregates = {AggregateSpec::Count()};
+    query.filters.push_back(std::move(pred));
+    return query;
+  };
+  const std::vector<std::pair<QuerySpec, StatusCode>> cases = {
+      {grouped(AggregateSpec::Sum("s")), StatusCode::kInvalidArgument},
+      {grouped(AggregateSpec::Avg("s")), StatusCode::kInvalidArgument},
+      {grouped(AggregateSpec::Max("s")), StatusCode::kInvalidArgument},
+      {grouped(AggregateSpec::SumExpr(
+           Expr::Mul(Expr::Column(1), Expr::Constant(2)))),
+       StatusCode::kInvalidArgument},
+      {counted(ColumnPredicate("x", CompareOp::kEq, std::string("abc"))),
+       StatusCode::kInvalidArgument},
+      {counted(ColumnPredicate("s", CompareOp::kEq, int64_t{0})),
+       StatusCode::kInvalidArgument},
+      {counted(ColumnPredicate::Between("s", 0, 1)),
+       StatusCode::kNotSupported},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const QuerySpec& query = cases[i].first;
+    const StatusCode want = cases[i].second;
+    const std::string context = "case " + std::to_string(i);
+    EXPECT_EQ(CheckQuery(table.schema(), query).code(), want) << context;
+    BIPieScan scan(table, query);
+    EXPECT_EQ(scan.Execute().status().code(), want) << context;
+    EXPECT_EQ(scan.Explain().status().code(), want) << context;
+    EXPECT_EQ(ExecuteQueryHashAgg(table, query).status().code(), want)
+        << context;
+    EXPECT_EQ(ExecuteQueryNaive(table, query).status().code(), want)
+        << context;
+  }
+}
+
 TEST(ScanTest, EmptyTable) {
   Table table({{"g", ColumnType::kString},
                {"x", ColumnType::kInt64, EncodingChoice::kBitPacked}});

@@ -157,6 +157,24 @@ TEST(SqlParserTest, Rejections) {
   EXPECT_FALSE(ParseQuery("SELECT min(qty * 2) FROM x", t).ok());
 }
 
+TEST(SqlParserTest, IllTypedQueriesParseButNeverExecute) {
+  // The parser resolves names, not types: these statements parse, and the
+  // engine rejects each one before reading a row instead of summing or
+  // comparing dictionary ids.
+  Table t = MakeTable();
+  for (const char* sql :
+       {"SELECT city, sum(city) FROM x GROUP BY city",
+        "SELECT qty, sum(city * 2) FROM x GROUP BY qty",
+        "SELECT max(city) FROM x", "SELECT count(*) FROM x WHERE qty = 'abc'",
+        "SELECT count(*) FROM x WHERE city = 3"}) {
+    auto parsed = ParseQuery(sql, t);
+    ASSERT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
+    auto result = ExecuteQuery(t, parsed.value().spec);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << sql << ": " << result.status().ToString();
+  }
+}
+
 TEST(SqlParserTest, BetweenPredicate) {
   Table t = MakeTable();
   auto parsed = ParseQuery(

@@ -77,8 +77,8 @@ AlignedBuffer ToPadded(const std::vector<T>& v) {
 // satisfy, whatever strategies ran and however the work was morselized
 // (DESIGN.md §12). Used after every scan in the test suite and as a fuzz
 // oracle: a violation means the stats pipeline miscounted, which usually
-// flags a real execution bug (double-counted segment, skipped batch, stale
-// stats after a fallback).
+// flags a real execution bug (double-counted segment, skipped batch, a
+// hashed segment's rows lost).
 struct StatsInvariants {
   // The invariants decidable from the stats and the query alone.
   // Returns human-readable violation messages; empty means all hold.
@@ -87,25 +87,6 @@ struct StatsInvariants {
     std::vector<std::string> v;
     auto fail = [&v](std::string msg) { v.push_back(std::move(msg)); };
     auto num = [](size_t n) { return std::to_string(n); };
-
-    if (stats.used_hash_fallback) {
-      // The generic engine ran; every specialized-scan progress counter must
-      // have been reset. (The segment plan — scanned/eliminated — stands:
-      // it describes the elimination pass, which did happen.)
-      if (stats.batches != 0) fail("fallback with batches != 0");
-      if (stats.rows_scanned != 0) fail("fallback with rows_scanned != 0");
-      if (stats.rows_selected != 0) fail("fallback with rows_selected != 0");
-      if (stats.runs_aggregated != 0 || stats.rows_run_aggregated != 0) {
-        fail("fallback with run-level stats != 0");
-      }
-      if (SelectionTotal(stats) != 0) fail("fallback with selection stats");
-      for (size_t a = 0; a < kNumAggregationStrategies; ++a) {
-        if (stats.aggregation_segments[a] != 0) {
-          fail("fallback with aggregation_segments[" + num(a) + "] != 0");
-        }
-      }
-      return v;
-    }
 
     if (stats.rows_selected > stats.rows_scanned) {
       fail("rows_selected " + num(stats.rows_selected) + " > rows_scanned " +
@@ -130,15 +111,18 @@ struct StatsInvariants {
       fail("run spans aggregated but no segment used kRunBased");
     }
 
-    // Each scanned segment resolves exactly one aggregation strategy, and
-    // is counted exactly once however many morsels covered it.
-    size_t strategy_total = 0;
-    for (size_t a = 0; a < kNumAggregationStrategies; ++a) {
-      strategy_total += stats.aggregation_segments[a];
-    }
-    if (strategy_total != stats.segments_scanned) {
+    // Each scanned segment resolves exactly one aggregation strategy or runs
+    // hashed, and is counted exactly once however many morsels covered it.
+    const size_t strategy_total = StrategyTotal(stats);
+    if (strategy_total > stats.segments_scanned) {
       fail("sum(aggregation_segments) " + num(strategy_total) +
-           " != segments_scanned " + num(stats.segments_scanned));
+           " > segments_scanned " + num(stats.segments_scanned));
+    }
+    if (stats.used_hash_fallback !=
+        (stats.segments_scanned > strategy_total)) {
+      fail(std::string("used_hash_fallback ") +
+           (stats.used_hash_fallback ? "set" : "clear") + " with " +
+           num(stats.segments_scanned - strategy_total) + " hashed segments");
     }
 
     // One selection decision per batch, except batches whose selection
@@ -195,29 +179,26 @@ struct StatsInvariants {
            " != non-empty segments " + num(nonempty_segments));
     }
 
-    if (!stats.used_hash_fallback) {
-      if (stats.segments_eliminated == 0) {
-        if (stats.rows_scanned != total_rows) {
-          fail("rows_scanned " + num(stats.rows_scanned) +
-               " != table rows " + num(total_rows) +
-               " with no segment eliminated");
-        }
-        if (query.filters.empty() && stats.rows_selected != alive_rows) {
-          fail("rows_selected " + num(stats.rows_selected) +
-               " != alive rows " + num(alive_rows) + " with no filters");
-        }
+    if (stats.segments_eliminated == 0) {
+      if (stats.rows_scanned != total_rows) {
+        fail("rows_scanned " + num(stats.rows_scanned) + " != table rows " +
+             num(total_rows) + " with no segment eliminated");
       }
-      if (query.filters.empty() && alive_rows == total_rows &&
-          stats.rows_selected != stats.rows_scanned) {
-        fail("rows_selected != rows_scanned with no filters and no deletes");
+      if (query.filters.empty() && stats.rows_selected != alive_rows) {
+        fail("rows_selected " + num(stats.rows_selected) + " != alive rows " +
+             num(alive_rows) + " with no filters");
       }
-      if (result != nullptr) {
-        size_t result_rows = 0;
-        for (const ResultRow& row : result->rows) result_rows += row.count;
-        if (result_rows != stats.rows_selected) {
-          fail("sum(result counts) " + num(result_rows) +
-               " != rows_selected " + num(stats.rows_selected));
-        }
+    }
+    if (query.filters.empty() && alive_rows == total_rows &&
+        stats.rows_selected != stats.rows_scanned) {
+      fail("rows_selected != rows_scanned with no filters and no deletes");
+    }
+    if (result != nullptr) {
+      size_t result_rows = 0;
+      for (const ResultRow& row : result->rows) result_rows += row.count;
+      if (result_rows != stats.rows_selected) {
+        fail("sum(result counts) " + num(result_rows) + " != rows_selected " +
+             num(stats.rows_selected));
       }
     }
     return v;
@@ -232,6 +213,16 @@ struct StatsInvariants {
     return out;
   }
 
+  // Scanned segments that resolved an aggregation strategy; the rest of
+  // segments_scanned ran hashed.
+  static size_t StrategyTotal(const ScanStats& stats) {
+    size_t total = 0;
+    for (size_t a = 0; a < kNumAggregationStrategies; ++a) {
+      total += stats.aggregation_segments[a];
+    }
+    return total;
+  }
+
  private:
   static size_t SelectionTotal(const ScanStats& stats) {
     return stats.selection.gather + stats.selection.compact +
@@ -240,8 +231,9 @@ struct StatsInvariants {
 };
 
 // Differences between what Explain() renders for `scan` and what its last
-// successful Execute() ran: the outcome kind, the segment counts and the
-// per-strategy count of planned segments. Empty means they agree.
+// successful Execute() ran: the outcome kind, the segment counts, the
+// hashed segments and the per-strategy count of planned segments. Empty
+// means they agree.
 inline std::vector<std::string> ExplainDisagreements(const BIPieScan& scan) {
   std::vector<std::string> v;
   Result<PlanExplain> explain = scan.Explain();
@@ -254,10 +246,11 @@ inline std::vector<std::string> ExplainDisagreements(const BIPieScan& scan) {
   if (e.plan_error) {
     v.push_back("explain reports an error: " + e.plan_error_text);
   }
-  if (e.hash_fallback != stats.used_hash_fallback) {
-    v.push_back(std::string("explain hash fallback ") +
-                (e.hash_fallback ? "yes" : "no") + " but the scan " +
-                (stats.used_hash_fallback ? "fell back" : "did not"));
+  const size_t ran_hashed =
+      stats.segments_scanned - StatsInvariants::StrategyTotal(stats);
+  if (e.segments_hashed != ran_hashed) {
+    v.push_back("explain hashes " + std::to_string(e.segments_hashed) +
+                " segments, the scan hashed " + std::to_string(ran_hashed));
   }
   if (e.segments_scanned != stats.segments_scanned ||
       e.segments_eliminated != stats.segments_eliminated) {
@@ -267,21 +260,18 @@ inline std::vector<std::string> ExplainDisagreements(const BIPieScan& scan) {
                 std::to_string(stats.segments_scanned) + "/" +
                 std::to_string(stats.segments_eliminated));
   }
-  if (!stats.used_hash_fallback) {
-    size_t planned[kNumAggregationStrategies] = {0};
-    for (const SegmentExplain& seg : e.segments) {
-      if (!seg.eliminated && seg.bind_ok) {
-        ++planned[static_cast<int>(seg.decision.aggregation)];
-      }
+  size_t planned[kNumAggregationStrategies] = {0};
+  for (const SegmentExplain& seg : e.segments) {
+    if (!seg.eliminated && seg.bind_ok) {
+      ++planned[static_cast<int>(seg.decision.aggregation)];
     }
-    for (size_t a = 0; a < kNumAggregationStrategies; ++a) {
-      if (planned[a] != stats.aggregation_segments[a]) {
-        v.push_back("explain plans " + std::to_string(planned[a]) + " " +
-                    AggregationStrategyName(
-                        static_cast<AggregationStrategy>(a)) +
-                    " segments, the scan ran " +
-                    std::to_string(stats.aggregation_segments[a]));
-      }
+  }
+  for (size_t a = 0; a < kNumAggregationStrategies; ++a) {
+    if (planned[a] != stats.aggregation_segments[a]) {
+      v.push_back("explain plans " + std::to_string(planned[a]) + " " +
+                  AggregationStrategyName(static_cast<AggregationStrategy>(a)) +
+                  " segments, the scan ran " +
+                  std::to_string(stats.aggregation_segments[a]));
     }
   }
   return v;

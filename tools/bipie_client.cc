@@ -126,7 +126,7 @@ int RunStatement(bipie::server::Client& client, const std::string& stmt) {
       static_cast<double>(stats.queue_wait_ns) / 1e6,
       static_cast<double>(stats.exec_ns) / 1e6,
       static_cast<unsigned long long>(stats.peak_memory_bytes),
-      stats.used_hash_fallback ? " (hash fallback)" : "");
+      stats.used_hash_fallback ? " (some segments hashed)" : "");
   return 0;
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "baseline/hash_agg.h"
+#include "baseline/scalar_engine.h"
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "core/scan.h"
@@ -127,7 +128,8 @@ BuiltCase BuildCase(const CaseParams& p) {
   const int g2_card = 1 + static_cast<int>(rng.NextBounded(8));
   const size_t first_value_col = static_cast<size_t>(p.group_columns);
 
-  TableAppender app(&table, std::max<size_t>(64, p.segment_rows));
+  const size_t segment_rows = std::max<size_t>(64, p.segment_rows);
+  TableAppender app(&table, segment_rows);
   std::vector<int64_t> ints(table.num_columns(), 0);
   std::vector<std::string> strings(table.num_columns());
   // Run-clustered generation: group and RLE value columns cycle through
@@ -140,10 +142,16 @@ BuiltCase BuildCase(const CaseParams& p) {
           : 0;
   for (size_t i = 0; i < p.rows; ++i) {
     if (p.group_columns >= 1) {
+      // One draw per row either way, so the wide segment leaves every other
+      // column of the case unchanged.
+      const int card =
+          i / segment_rows + 1 == static_cast<size_t>(p.wide_segment)
+              ? 300
+              : p.group_card;
       const int g = run_len > 0
                         ? static_cast<int>((i / run_len) %
-                                           static_cast<size_t>(p.group_card))
-                        : static_cast<int>(rng.NextBounded(p.group_card));
+                                           static_cast<size_t>(card))
+                        : static_cast<int>(rng.NextBounded(card));
       if (g1_is_string) {
         strings[0] = GroupString(g);
       } else {
@@ -373,7 +381,7 @@ std::string CaseParams::ToString() const {
      << " cancel_after=" << cancel_after
      << " failpoint_prob=" << failpoint_prob
      << " sorted_fraction=" << sorted_fraction
-     << " memory_limit=" << memory_limit;
+     << " memory_limit=" << memory_limit << " wide_segment=" << wide_segment;
   return os.str();
 }
 
@@ -386,7 +394,7 @@ CaseParams MakeCaseParams(uint64_t seed) {
   p.group_columns = static_cast<int>(rng.NextBounded(3));
   // Cardinality sweep crosses the 255-group specialized envelope: ~1/6 of
   // cases land in 200..300, where (with two group columns) the combined
-  // count forces the hash fallback and forced plans must reject cleanly.
+  // count hashes every segment and forced plans must reject cleanly.
   p.group_card = rng.NextBernoulli(0.17)
                      ? 200 + static_cast<int>(rng.NextBounded(101))
                      : 1 + static_cast<int>(rng.NextBounded(40));
@@ -432,6 +440,14 @@ CaseParams MakeCaseParams(uint64_t seed) {
   // kResourceExhausted path and the governed-success path stay hot.
   p.memory_limit =
       rng.NextBernoulli(0.2) ? 4096 + rng.NextBounded(uint64_t{1} << 22) : 0;
+  // A quarter of cases put one segment past the 255-group envelope beside
+  // segments within it, so a hashed segment merges with specialized ones.
+  // Drawn last: every earlier field of a seed is unchanged.
+  const size_t segment_rows = std::max<size_t>(64, p.segment_rows);
+  const size_t segments = (p.rows + segment_rows - 1) / segment_rows;
+  p.wide_segment = rng.NextBernoulli(0.25)
+                       ? 1 + static_cast<int>(rng.NextBounded(segments))
+                       : 0;
   return p;
 }
 
@@ -484,6 +500,8 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
         p.sorted_fraction = std::stod(val);
       } else if (key == "memory_limit") {
         p.memory_limit = std::stoull(val);
+      } else if (key == "wide_segment") {
+        p.wide_segment = std::stoi(val);
       } else {
         *error = "unknown key: " + key;
         return false;
@@ -505,6 +523,18 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
     *error = "oracle failed: " + oracle.status().ToString();
     return false;
   }
+  // The scan's hashed segments run the oracle's per-segment aggregator, so
+  // the oracle answers to the naive engine, which shares no aggregation
+  // code with either.
+  auto naive = ExecuteQueryNaive(built.table, built.query);
+  if (naive.ok()) {
+    std::string diff;
+    if (!ResultsAgree(oracle.value(), naive.value(), "hash oracle vs naive",
+                      &diff)) {
+      *error = diff;
+      return false;
+    }
+  }
 
   // Fault-injection slice: armed after the oracle (which must stay exact),
   // disarmed when this function returns. Every plan below must then produce
@@ -525,8 +555,8 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
                           plan.options.overrides.byteslice.has_value();
       // Forced plans may reject shapes outside their envelope; the checked
       // scalar path may abort instead of overflowing. Anything else is a
-      // bug, as is a clean rejection from the adaptive plan (it must fall
-      // back to hash aggregation instead).
+      // bug, as is a clean rejection from the adaptive plan (it must hash
+      // the segment instead).
       if (forced && code == StatusCode::kNotSupported) continue;
       if (code == StatusCode::kOverflowRisk) continue;
       if (p.failpoint_prob > 0 && code == StatusCode::kResourceExhausted) {
@@ -536,9 +566,9 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
       return false;
     }
     // The stats-invariant oracle (tests/test_util.h): every successful scan
-    // must satisfy the accounting identities, whatever strategies ran. This
-    // subsumes the stale-stats-after-fallback check and adds the row/segment
-    // conservation laws.
+    // must satisfy the accounting identities, whatever strategies ran,
+    // hashed segments included: the row/segment conservation laws and the
+    // hashed-segment count.
     const std::vector<std::string> stats_violations =
         test::StatsInvariants::Check(scan.stats(), built.query, built.table,
                                      &got.value());
@@ -670,6 +700,8 @@ CaseParams Shrink(const CaseParams& p) {
     if (best.memory_limit > 0) {
       add([](CaseParams& c) { c.memory_limit = 0; });
     }
+    if (best.wide_segment > 0) add([](CaseParams& c) { c.wide_segment = 0; });
+    if (best.wide_segment > 1) add([](CaseParams& c) { c.wide_segment = 1; });
     if (best.num_threads != 1) add([](CaseParams& c) { c.num_threads = 1; });
     for (const CaseParams& c : candidates) {
       if (!RunOneCase(c, &scratch)) {  // still fails -> keep the reduction

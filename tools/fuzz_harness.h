@@ -32,7 +32,7 @@ struct CaseParams {
   int group_columns = 1;  // 0..2 grouping columns
   int group_card = 8;     // per-column group cardinality, 1..300 (values
                           // above 255 push the combined count outside the
-                          // specialized envelope -> hash fallback path)
+                          // specialized envelope -> every segment hashed)
   int num_aggs = 2;       // aggregates beyond the implicit count(*)
   int num_filters = 1;    // 0..3 conjunctive filters
   double delete_frac = 0.0;        // fraction of rows deleted
@@ -67,6 +67,9 @@ struct CaseParams {
                               // kResourceExhausted — never a partial
                               // aggregate, never a crash — with the query
                               // tracker balanced at zero afterwards
+  int wide_segment = 0;  // >0 gives segment wide_segment - 1 a 300-value g1
+                         // domain while the others keep group_card, so one
+                         // segment runs hashed beside specialized ones
 
   // Replay line, e.g. "seed=42 rows=375 segment_rows=128 ...". Parsed back
   // by ParseCaseParams.
@@ -82,7 +85,9 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
                      std::string* error);
 
 // Builds the case and runs the full differential matrix:
-//   * the hash-aggregation oracle,
+//   * the hash-aggregation oracle, itself checked against the naive engine
+//     (ExecuteQueryNaive) whenever that engine answers — the scan's hashed
+//     segments run the oracle's per-segment aggregator,
 //   * the adaptive plan inline plus (when p.num_threads is 0) on the
 //     shared morsel pool,
 //   * every selection x aggregation override combination, plus each
