@@ -102,7 +102,9 @@ Status SegmentHashAggregator::ProcessBatch(size_t start, size_t n,
   for (size_t a = 0; a < num_specs; ++a) {
     if (specs[a].kind == AggregateSpec::Kind::kSumExpr) {
       expr_out_[a].resize(n);
-      specs[a].expr->Evaluate(col_ptrs_.data(), n, expr_out_[a].data());
+      // Overflow counts only on rows the batch aggregates.
+      BIPIE_RETURN_NOT_OK(specs[a].expr->Evaluate(col_ptrs_.data(), n,
+                                                   expr_out_[a].data(), sel));
     }
   }
 

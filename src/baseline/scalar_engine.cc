@@ -61,27 +61,9 @@ Result<QueryResult> ExecuteQueryNaive(const Table& table,
       col_ptrs[c] = cols[c].values.data();
     }
 
-    // Pre-evaluate expression aggregates over the full segment.
-    std::vector<std::vector<int64_t>> expr_values(num_specs);
-    for (size_t a = 0; a < num_specs; ++a) {
-      if (query.aggregates[a].kind == AggregateSpec::Kind::kSumExpr) {
-        expr_values[a].resize(n);
-        query.aggregates[a].expr->Evaluate(col_ptrs.data(), n,
-                                           expr_values[a].data());
-      }
-    }
-    std::vector<int> agg_cols(num_specs, -1);
-    for (size_t a = 0; a < num_specs; ++a) {
-      const AggregateSpec& spec = query.aggregates[a];
-      if (spec.kind == AggregateSpec::Kind::kSum ||
-          spec.kind == AggregateSpec::Kind::kAvg ||
-          spec.kind == AggregateSpec::Kind::kMin ||
-          spec.kind == AggregateSpec::Kind::kMax) {
-        agg_cols[a] = table.FindColumn(spec.column);
-      }
-    }
-
+    // Which rows the query aggregates: alive and passing every filter.
     const uint8_t* alive = segment.alive_bytes();
+    std::vector<uint8_t> selected(n, 0);
     for (size_t i = 0; i < n; ++i) {
       if (alive != nullptr && alive[i] == 0) continue;
       bool pass = true;
@@ -103,8 +85,32 @@ Result<QueryResult> ExecuteQueryNaive(const Table& table,
         }
         if (!pass) break;
       }
-      if (!pass) continue;
+      selected[i] = pass ? 0xFF : 0;
+    }
 
+    // Pre-evaluate expression aggregates over the full segment; overflow
+    // counts only on the rows aggregated.
+    std::vector<std::vector<int64_t>> expr_values(num_specs);
+    for (size_t a = 0; a < num_specs; ++a) {
+      if (query.aggregates[a].kind == AggregateSpec::Kind::kSumExpr) {
+        expr_values[a].resize(n);
+        BIPIE_RETURN_NOT_OK(query.aggregates[a].expr->Evaluate(
+            col_ptrs.data(), n, expr_values[a].data(), selected.data()));
+      }
+    }
+    std::vector<int> agg_cols(num_specs, -1);
+    for (size_t a = 0; a < num_specs; ++a) {
+      const AggregateSpec& spec = query.aggregates[a];
+      if (spec.kind == AggregateSpec::Kind::kSum ||
+          spec.kind == AggregateSpec::Kind::kAvg ||
+          spec.kind == AggregateSpec::Kind::kMin ||
+          spec.kind == AggregateSpec::Kind::kMax) {
+        agg_cols[a] = table.FindColumn(spec.column);
+      }
+    }
+
+    for (size_t i = 0; i < n; ++i) {
+      if (selected[i] == 0) continue;
       std::vector<GroupValue> key;
       for (int gc : group_cols) {
         key.push_back(MakeGroupValue(cols[gc], cols[gc].values[i]));

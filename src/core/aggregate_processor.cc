@@ -112,6 +112,7 @@ Status PlanSegment(const Table& table, const Segment& segment,
       const EncodedColumn& col = segment.column(static_cast<size_t>(idx));
       if (col.encoding() == Encoding::kBitPacked) {
         input.column = &col;
+        input.table_column = idx;
         input.bit_width = col.bit_width();
         input.base = col.base();
         input.max_offset = col.id_bound() - 1;
@@ -139,17 +140,19 @@ Status PlanSegment(const Table& table, const Segment& segment,
     const ColumnMeta& m = segment.column(c).meta();
     column_bounds[c] = {m.min, m.max};
   }
+  ExprProgram& program = plan->program;
   for (AggInput& input : inputs) {
+    if (input.is_expr) input.node = program.Add(*input.expr, column_bounds);
     if (input.op != AggInput::Op::kSum) continue;  // extrema cannot overflow
     __int128 max_abs;
     if (input.is_expr) {
-      Result<ValueBounds> bounds = input.expr->EvalBounds(column_bounds);
-      if (!bounds.ok()) {
+      if (!program.bounded(input.node)) {
         overflow_risk = true;
         continue;
       }
-      max_abs = std::max<__int128>(-static_cast<__int128>(bounds.value().min),
-                                   bounds.value().max);
+      const ValueBounds& bounds = program.bounds(input.node);
+      max_abs = std::max<__int128>(-static_cast<__int128>(bounds.min),
+                                   bounds.max);
     } else {
       max_abs = static_cast<__int128>(input.max_offset) +
                 (input.base < 0 ? -static_cast<__int128>(input.base)
@@ -342,12 +345,9 @@ Status PlanSegment(const Table& table, const Segment& segment,
     if ((scalar_like || wide_minmax) && !input.is_expr) {
       // Scalar paths (and extrema over >32-bit offsets) aggregate logical
       // int64 values directly.
-      int idx = -1;
-      for (size_t c = 0; c < table.num_columns(); ++c) {
-        if (&segment.column(c) == input.column) idx = static_cast<int>(c);
-      }
       input.is_expr = true;
-      input.expr = Expr::Column(idx);
+      input.expr = Expr::Column(input.table_column);
+      input.node = program.Add(*input.expr, column_bounds);
       input.compensate = false;
       input.word_bytes = 8;
       continue;
@@ -368,7 +368,8 @@ Status PlanSegment(const Table& table, const Segment& segment,
                                                    : 4;
         break;
       case AggregationStrategy::kMultiAggregate:
-        input.word_bytes = input.bit_width <= 16 ? 4 : 8;
+        // <= 16 bits pair into half a lane; 17-31 bits widen on load.
+        input.word_bytes = input.bit_width <= 31 ? 4 : 8;
         break;
       default:
         input.word_bytes = SmallestWordBytes(input.bit_width);
@@ -394,6 +395,51 @@ Status PlanSegment(const Table& table, const Segment& segment,
             std::max(max_materialized_bits, segment.column(c).bit_width());
       }
     }
+  }
+
+  // --- one decode per column per batch ---------------------------------------
+  // Raw SUM inputs fix their column's word (one per column: inputs are
+  // deduplicated by column and op); extrema kernels and expression leaves
+  // accept any word at least the smallest. The sort-based strategy sums raw
+  // inputs straight from the packed stream, so they read no decoded column.
+  auto column_slot = [&](int table_column) {
+    for (size_t k = 0; k < plan->columns.size(); ++k) {
+      if (plan->columns[k].table_column == table_column) {
+        return static_cast<int>(k);
+      }
+    }
+    const EncodedColumn& col = segment.column(table_column);
+    SegmentPlan::DecodedColumn dc;
+    dc.column = &col;
+    dc.table_column = table_column;
+    dc.offsets = col.encoding() == Encoding::kBitPacked;
+    dc.word_bytes = dc.offsets ? SmallestWordBytes(col.bit_width()) : 8;
+    plan->columns.push_back(dc);
+    return static_cast<int>(plan->columns.size()) - 1;
+  };
+  const bool sums_read_packed = strategy == AggregationStrategy::kSortBased;
+  for (AggInput& input : inputs) {
+    if (input.is_expr) continue;
+    if (input.op == AggInput::Op::kSum && sums_read_packed) continue;
+    input.column_slot = column_slot(input.table_column);
+    if (input.op == AggInput::Op::kSum) {
+      plan->columns[input.column_slot].word_bytes = input.word_bytes;
+    }
+  }
+  for (AggInput& input : inputs) {
+    if (input.column_slot >= 0) {
+      input.word_bytes = plan->columns[input.column_slot].word_bytes;
+    }
+    if (input.is_expr) {
+      // Only the multi-aggregate kernel takes int32 sums (widened on load).
+      program.MarkRoot(input.node,
+                       strategy == AggregationStrategy::kMultiAggregate &&
+                           input.op == AggInput::Op::kSum);
+    }
+  }
+  program.Finalize();
+  for (const int c : program.leaf_columns()) {
+    plan->leaf_slots.push_back(column_slot(c));
   }
 
   decision.aggregation = strategy;
@@ -440,22 +486,37 @@ Status AggregateProcessor::Attach(const SegmentPlan& plan) {
     std::fill_n(minmax_.begin() + i * stride, stride, sentinel);
   }
   run_cursors_.assign(num_inputs, RunCursor{});
-  value_bufs_.resize(num_inputs);
-  expr_out_bufs_.resize(num_inputs);
-  expr_out_ptrs_.assign(num_inputs, nullptr);
-  expr_col_bufs_.resize(plan.table->num_columns());
-  batch_seq_ = 0;
-  col_cache_tag_.assign(plan.table->num_columns(), 0);
+  column_bufs_.resize(plan.columns.size());
+  root_bufs_.resize(plan.program.num_roots());
+  root_ptrs_.assign(plan.program.num_roots(), nullptr);
+  leaves_.assign(plan.leaf_slots.size(), ExprProgram::Leaf{});
+  for (size_t k = 0; k < leaves_.size(); ++k) {
+    const SegmentPlan::DecodedColumn& dc = plan.columns[plan.leaf_slots[k]];
+    leaves_[k].word_bytes = dc.word_bytes;
+    leaves_[k].base = dc.offsets ? dc.column->base() : 0;
+  }
+  slice_scratch_.Resize(plan.program.scratch_bytes());
 
   if (plan.decision.aggregation == AggregationStrategy::kMultiAggregate) {
     std::vector<MultiAggregator::ColumnDesc> descs;
     for (int i : plan.sum_inputs) {
-      descs.push_back({plan.inputs[i].word_bytes == 4 ? 4 : 8});
+      const AggInput& input = plan.inputs[i];
+      if (input.is_expr) {
+        const bool narrow = plan.program.root_bytes(input.node) == 4;
+        descs.push_back({narrow ? 4 : 8, narrow});
+      } else {
+        // Offsets below 2^16 pair into half a lane; wider 4-byte offsets
+        // (< 2^31) widen into a full one.
+        descs.push_back(
+            {input.word_bytes, input.word_bytes == 4 && input.bit_width > 16});
+      }
     }
     const int geff = plan.mapper.num_groups() +
                      (plan.decision.special_group_available ? 1 : 0);
     BIPIE_RETURN_NOT_OK(multi_agg_.Configure(descs, geff));
     multi_agg_ready_ = true;
+    multi_ptrs_.assign(descs.size(), nullptr);
+    multi_flat_.assign(static_cast<size_t>(geff) * descs.size(), 0);
   }
   return Status::OK();
 }
@@ -489,39 +550,65 @@ AggregateProcessor::BatchMode AggregateProcessor::PickBatchMode(
   return BatchMode::kCompact;
 }
 
-void AggregateProcessor::DecodeExprColumn(int col_idx, size_t start,
-                                          size_t n) {
-  if (col_cache_tag_[col_idx] == batch_seq_) return;  // decoded this batch
-  AlignedBuffer& buf = expr_col_bufs_[col_idx];
-  buf.Resize(n * sizeof(int64_t));
-  plan_->segment->column(col_idx).DecodeInt64(start, n, buf.data_as<int64_t>());
-  col_cache_tag_[col_idx] = batch_seq_;
+void AggregateProcessor::LoadColumns(size_t start, size_t n,
+                                     const uint8_t* sel, BatchMode mode,
+                                     const uint32_t* indices, size_t m) {
+  for (size_t k = 0; k < plan_->columns.size(); ++k) {
+    const SegmentPlan::DecodedColumn& dc = plan_->columns[k];
+    const EncodedColumn& col = *dc.column;
+    const int word = dc.word_bytes;
+    auto decode_window = [&](void* out) {
+      if (dc.offsets) {
+        col.UnpackIds(start, n, out, word);
+      } else {
+        col.DecodeInt64(start, n, static_cast<int64_t*>(out));
+      }
+    };
+    AlignedBuffer& buf = column_bufs_[k];
+    buf.Resize(m * static_cast<size_t>(word));
+    if (mode == BatchMode::kFull || mode == BatchMode::kSpecialGroup) {
+      decode_window(buf.data());
+    } else if (mode == BatchMode::kGather && dc.offsets) {
+      GatherSelect(RebasedPacked(col, start), col.bit_width(), indices, m,
+                   buf.data(), word);
+    } else {
+      // Compaction, and gathering a column with no packed offsets: decode
+      // the window, then keep the selected rows.
+      compact_scratch_.Resize(n * static_cast<size_t>(word));
+      decode_window(compact_scratch_.data());
+      CompactValues(sel, compact_scratch_.data(), n, word, buf.data());
+    }
+  }
 }
 
-void AggregateProcessor::EvaluateExpr(size_t input_index, size_t start,
-                                      size_t n) {
-  const AggInput& input = plan_->inputs[input_index];
-  if (const int64_t* cached = expr_cache_.Find(input.expr.get())) {
-    expr_out_ptrs_[input_index] = cached;  // identical tree this batch
-    return;
+Status AggregateProcessor::EvaluateExpressions(size_t m,
+                                               const uint8_t* mask) {
+  const ExprProgram& program = plan_->program;
+  if (program.num_roots() == 0) return Status::OK();
+  for (size_t k = 0; k < leaves_.size(); ++k) {
+    leaves_[k].data = column_bufs_[plan_->leaf_slots[k]].data();
   }
-  std::vector<int> cols;
-  input.expr->CollectColumns(&cols);
-  std::vector<const int64_t*> columns(plan_->table->num_columns(), nullptr);
-  for (int c : cols) {
-    DecodeExprColumn(c, start, n);
-    columns[c] = expr_col_bufs_[c].data_as<int64_t>();
+  for (const AggInput& input : plan_->inputs) {
+    if (!input.is_expr) continue;
+    const int r = program.root_index(input.node);
+    root_bufs_[r].Resize(m *
+                         static_cast<size_t>(program.root_bytes(input.node)));
+    root_ptrs_[r] = root_bufs_[r].data();
   }
-  expr_out_bufs_[input_index].Resize(n * sizeof(int64_t));
-  int64_t* out = expr_out_bufs_[input_index].data_as<int64_t>();
-  input.expr->Evaluate(columns.data(), n, out, &expr_cache_);
-  expr_cache_.Put(input.expr.get(), out);
-  expr_out_ptrs_[input_index] = out;
+  return program.Run(leaves_.data(), m, mask, root_ptrs_.data(),
+                     slice_scratch_.data());
 }
 
-size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
-                                           const uint8_t* sel,
-                                           BatchMode mode) {
+const void* AggregateProcessor::InputValues(const AggInput& input) const {
+  if (input.is_expr) {
+    return root_bufs_[plan_->program.root_index(input.node)].data();
+  }
+  return column_bufs_[input.column_slot].data();
+}
+
+Status AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
+                                           const uint8_t* sel, BatchMode mode,
+                                           size_t* m_out) {
   const int num_groups = plan_->mapper.num_groups();
   groups_buf_.Resize(n);
   uint8_t* groups = groups_buf_.data();
@@ -544,122 +631,17 @@ size_t AggregateProcessor::BuildDenseBatch(size_t start, size_t n,
       std::memcpy(groups, compact_scratch_.data(), m);
     }
   }
-
-  for (size_t i = 0; i < plan_->inputs.size(); ++i) {
-    const AggInput& input = plan_->inputs[i];
-    AlignedBuffer& buf = value_bufs_[i];
-    if (input.is_expr) {
-      switch (mode) {
-        case BatchMode::kFull:
-        case BatchMode::kSpecialGroup:
-          EvaluateExpr(i, start, n);
-          // The aggregation loop reads expr_out_bufs_ directly via the
-          // pointer set below; copy-free.
-          break;
-        case BatchMode::kGather: {
-          // Decode referenced columns densely (selected rows only), then
-          // evaluate over the dense arrays.
-          if (const int64_t* cached = expr_cache_.Find(input.expr.get())) {
-            expr_out_ptrs_[i] = cached;
-            break;
-          }
-          std::vector<int> cols;
-          input.expr->CollectColumns(&cols);
-          std::vector<const int64_t*> columns(plan_->table->num_columns(),
-                                              nullptr);
-          for (int c : cols) {
-            const EncodedColumn& col = plan_->segment->column(c);
-            AlignedBuffer& cbuf = expr_col_bufs_[c];
-            if (col_cache_tag_[c] != batch_seq_) {
-              cbuf.Resize(m * sizeof(int64_t));
-              if (col.encoding() == Encoding::kBitPacked) {
-                GatherSelect(RebasedPacked(col, start), col.bit_width(),
-                             indices, m, cbuf.data(), 8);
-                int64_t* vals = cbuf.data_as<int64_t>();
-                if (col.base() != 0) {
-                  for (size_t r = 0; r < m; ++r) vals[r] += col.base();
-                }
-              } else {
-                compact_scratch_.Resize(n * sizeof(int64_t));
-                col.DecodeInt64(start, n,
-                                compact_scratch_.data_as<int64_t>());
-                CompactValues(sel, compact_scratch_.data(), n, 8,
-                              cbuf.data());
-              }
-              col_cache_tag_[c] = batch_seq_;
-            }
-            columns[c] = cbuf.data_as<int64_t>();
-          }
-          expr_out_bufs_[i].Resize(m * sizeof(int64_t));
-          int64_t* out = expr_out_bufs_[i].data_as<int64_t>();
-          input.expr->Evaluate(columns.data(), m, out, &expr_cache_);
-          expr_cache_.Put(input.expr.get(), out);
-          expr_out_ptrs_[i] = out;
-          break;
-        }
-        case BatchMode::kCompact: {
-          // Post-filter processing: referenced columns are decoded once,
-          // physically compacted, and the expression runs over the
-          // surviving rows only (this is the §6.2 compact-vs-special
-          // trade: compaction pays once so later work touches m rows).
-          if (const int64_t* cached = expr_cache_.Find(input.expr.get())) {
-            expr_out_ptrs_[i] = cached;
-            break;
-          }
-          std::vector<int> cols;
-          input.expr->CollectColumns(&cols);
-          std::vector<const int64_t*> columns(plan_->table->num_columns(),
-                                              nullptr);
-          for (int c : cols) {
-            AlignedBuffer& cbuf = expr_col_bufs_[c];
-            if (col_cache_tag_[c] != batch_seq_) {
-              compact_scratch_.Resize(n * sizeof(int64_t));
-              plan_->segment->column(c).DecodeInt64(
-                  start, n, compact_scratch_.data_as<int64_t>());
-              cbuf.Resize(m * sizeof(int64_t));
-              CompactValues(sel, compact_scratch_.data(), n, 8, cbuf.data());
-              col_cache_tag_[c] = batch_seq_;
-            }
-            columns[c] = cbuf.data_as<int64_t>();
-          }
-          expr_out_bufs_[i].Resize(m * sizeof(int64_t));
-          int64_t* out = expr_out_bufs_[i].data_as<int64_t>();
-          input.expr->Evaluate(columns.data(), m, out, &expr_cache_);
-          expr_cache_.Put(input.expr.get(), out);
-          expr_out_ptrs_[i] = out;
-          break;
-        }
-      }
-      continue;
-    }
-    // Raw bit-packed input.
-    const int word = input.word_bytes;
-    buf.Resize(m * static_cast<size_t>(word));
-    switch (mode) {
-      case BatchMode::kFull:
-      case BatchMode::kSpecialGroup:
-        input.column->UnpackIds(start, n, buf.data(), word);
-        break;
-      case BatchMode::kGather:
-        GatherSelect(RebasedPacked(*input.column, start), input.bit_width,
-                     indices, m, buf.data(), word);
-        break;
-      case BatchMode::kCompact:
-        compact_scratch_.Resize(n * static_cast<size_t>(word));
-        input.column->UnpackIds(start, n, compact_scratch_.data(), word);
-        CompactValues(sel, compact_scratch_.data(), n, word, buf.data());
-        break;
-    }
-  }
-  return m;
+  *m_out = m;
+  LoadColumns(start, n, sel, mode, indices, m);
+  // Only the special-group mode evaluates rows the filter rejected.
+  return EvaluateExpressions(m, mode == BatchMode::kSpecialGroup ? sel
+                                                                 : nullptr);
 }
 
 Status AggregateProcessor::ProcessBatch(size_t start, size_t n,
                                         const uint8_t* sel) {
   BIPIE_DCHECK(start % kBatchRows == 0);
   if (n == 0) return Status::OK();
-  ++batch_seq_;
-  expr_cache_.Clear();
   size_t selected = n;
   if (sel != nullptr) {
     selected = CountSelected(sel, n);
@@ -767,7 +749,8 @@ Status AggregateProcessor::ProcessInRegister(size_t start, size_t n,
                                              const uint8_t* sel,
                                              BatchMode mode) {
   const int num_groups = plan_->mapper.num_groups();
-  const size_t m = BuildDenseBatch(start, n, sel, mode);
+  size_t m;
+  BIPIE_RETURN_NOT_OK(BuildDenseBatch(start, n, sel, mode, &m));
   const int geff =
       num_groups + (mode == BatchMode::kSpecialGroup ? 1 : 0);
   const uint8_t* groups = groups_buf_.data();
@@ -776,23 +759,25 @@ Status AggregateProcessor::ProcessInRegister(size_t start, size_t n,
   for (int i : plan_->sum_inputs) {
     const AggInput& input = plan_->inputs[i];
     auto* sums = reinterpret_cast<uint64_t*>(sums_.data() + i * stride);
+    const void* values = InputValues(input);
     switch (input.word_bytes) {
       case 1:
-        InRegisterSum8(groups, value_bufs_[i].data(), m, geff, sums);
+        InRegisterSum8(groups, static_cast<const uint8_t*>(values), m, geff,
+                       sums);
         break;
       case 2:
-        InRegisterSum16(groups, value_bufs_[i].data_as<uint16_t>(), m, geff,
+        InRegisterSum16(groups, static_cast<const uint16_t*>(values), m, geff,
                         sums);
         break;
       case 4:
-        InRegisterSum32(groups, value_bufs_[i].data_as<uint32_t>(), m, geff,
+        InRegisterSum32(groups, static_cast<const uint32_t*>(values), m, geff,
                         input.max_offset, sums);
         break;
       default:
         return Status::Internal("bad in-register word");
     }
   }
-  ProcessMinMaxDense(mode, m, geff);
+  ProcessMinMaxDense(m, geff);
   return Status::OK();
 }
 
@@ -800,7 +785,8 @@ Status AggregateProcessor::ProcessMultiAggregate(size_t start, size_t n,
                                                  const uint8_t* sel,
                                                  BatchMode mode) {
   const int num_groups = plan_->mapper.num_groups();
-  const size_t m = BuildDenseBatch(start, n, sel, mode);
+  size_t m;
+  BIPIE_RETURN_NOT_OK(BuildDenseBatch(start, n, sel, mode, &m));
   const int geff =
       num_groups + (mode == BatchMode::kSpecialGroup ? 1 : 0);
   const uint8_t* groups = groups_buf_.data();
@@ -809,15 +795,11 @@ Status AggregateProcessor::ProcessMultiAggregate(size_t start, size_t n,
   } else {
     ScalarCountMultiArray(groups, m, geff, counts_.data());
   }
-  std::vector<const void*> ptrs(plan_->sum_inputs.size());
   for (size_t k = 0; k < plan_->sum_inputs.size(); ++k) {
-    const int i = plan_->sum_inputs[k];
-    const AggInput& input = plan_->inputs[i];
-    ptrs[k] = input.is_expr ? static_cast<const void*>(expr_out_ptrs_[i])
-                            : static_cast<const void*>(value_bufs_[i].data());
+    multi_ptrs_[k] = InputValues(plan_->inputs[plan_->sum_inputs[k]]);
   }
-  multi_agg_.Process(groups, ptrs.data(), m);
-  ProcessMinMaxDense(mode, m, geff);
+  multi_agg_.Process(groups, multi_ptrs_.data(), m);
+  ProcessMinMaxDense(m, geff);
   return Status::OK();
 }
 
@@ -848,6 +830,10 @@ Status AggregateProcessor::ProcessSortBased(size_t start, size_t n,
   }
   sorted_batch_.Sort(groups, indices, m, geff);
 
+  // The sorted indices address the whole window: decode and evaluate it.
+  LoadColumns(start, n, nullptr, BatchMode::kFull, nullptr, n);
+  BIPIE_RETURN_NOT_OK(EvaluateExpressions(n, sel));
+
   for (int g = 0; g < geff; ++g) {
     counts_[g] += sorted_batch_.count(g);
   }
@@ -856,32 +842,37 @@ Status AggregateProcessor::ProcessSortBased(size_t start, size_t n,
     const AggInput& input = plan_->inputs[i];
     int64_t* sums = sums_.data() + i * stride;
     if (input.is_expr) {
-      EvaluateExpr(i, start, n);
-      SortedSumDecoded(expr_out_ptrs_[i], sorted_batch_, sums);
+      SortedSumDecoded(static_cast<const int64_t*>(InputValues(input)),
+                       sorted_batch_, sums);
     } else {
       SortedGatherSum(RebasedPacked(*input.column, start), input.bit_width,
                       sorted_batch_, reinterpret_cast<uint64_t*>(sums));
     }
   }
-  return ProcessMinMaxSorted(start, n, geff);
+  ProcessMinMaxSorted(geff);
+  return Status::OK();
 }
 
 Status AggregateProcessor::ProcessScalar(size_t start, size_t n,
                                          const uint8_t* sel, BatchMode mode,
                                          bool checked) {
   const int num_groups = plan_->mapper.num_groups();
-  const size_t m = BuildDenseBatch(start, n, sel, mode);
+  size_t m;
+  BIPIE_RETURN_NOT_OK(BuildDenseBatch(start, n, sel, mode, &m));
   const int geff =
       num_groups + (mode == BatchMode::kSpecialGroup ? 1 : 0);
   const uint8_t* groups = groups_buf_.data();
   ScalarCountMultiArray(groups, m, geff, counts_.data());
   const size_t stride = static_cast<size_t>(num_groups) + 1;
-  (void)mode;
   for (int i : plan_->sum_inputs) {
-    const int64_t* values = expr_out_ptrs_[i];
+    const auto* values =
+        static_cast<const int64_t*>(InputValues(plan_->inputs[i]));
     int64_t* sums = sums_.data() + i * stride;
     if (checked) {
+      // The special group holds rows the filter rejected; their values
+      // are never aggregated, so they cannot overflow anything.
       for (size_t r = 0; r < m; ++r) {
+        if (groups[r] == num_groups) continue;
         if (__builtin_add_overflow(sums[groups[r]], values[r],
                                    &sums[groups[r]])) {
           return Status::OverflowRisk("int64 sum overflow during scan");
@@ -891,51 +882,45 @@ Status AggregateProcessor::ProcessScalar(size_t start, size_t n,
       ScalarSumMultiArray(groups, values, m, geff, sums);
     }
   }
-  ProcessMinMaxDense(mode, m, geff);
+  ProcessMinMaxDense(m, geff);
   return Status::OK();
 }
 
-void AggregateProcessor::ProcessMinMaxDense(BatchMode mode, size_t m,
-                                            int geff) {
-  (void)mode;
+void AggregateProcessor::ProcessMinMaxDense(size_t m, int geff) {
   const size_t stride = static_cast<size_t>(plan_->mapper.num_groups()) + 1;
   const uint8_t* groups = groups_buf_.data();
   for (size_t i = 0; i < plan_->inputs.size(); ++i) {
     const AggInput& input = plan_->inputs[i];
     if (input.op == AggInput::Op::kSum) continue;
     uint64_t* extrema = minmax_.data() + i * stride;
+    const void* values = InputValues(input);
     if (input.is_expr) {
-      const int64_t* values = expr_out_ptrs_[i];
+      const auto* typed = static_cast<const int64_t*>(values);
       if (input.op == AggInput::Op::kMin) {
-        GroupedMinI64(groups, values, m, geff,
+        GroupedMinI64(groups, typed, m, geff,
                       reinterpret_cast<int64_t*>(extrema));
       } else {
-        GroupedMaxI64(groups, values, m, geff,
+        GroupedMaxI64(groups, typed, m, geff,
                       reinterpret_cast<int64_t*>(extrema));
       }
+    } else if (input.op == AggInput::Op::kMin) {
+      GroupedMinU(groups, values, input.word_bytes, m, geff, extrema);
     } else {
-      if (input.op == AggInput::Op::kMin) {
-        GroupedMinU(groups, value_bufs_[i].data(), input.word_bytes, m,
-                    geff, extrema);
-      } else {
-        GroupedMaxU(groups, value_bufs_[i].data(), input.word_bytes, m,
-                    geff, extrema);
-      }
+      GroupedMaxU(groups, values, input.word_bytes, m, geff, extrema);
     }
   }
 }
 
-Status AggregateProcessor::ProcessMinMaxSorted(size_t start, size_t n,
-                                               int geff) {
+void AggregateProcessor::ProcessMinMaxSorted(int geff) {
   const size_t stride = static_cast<size_t>(plan_->mapper.num_groups()) + 1;
   const uint32_t* idx = sorted_batch_.indices();
   for (size_t i = 0; i < plan_->inputs.size(); ++i) {
     const AggInput& input = plan_->inputs[i];
     if (input.op == AggInput::Op::kSum) continue;
     uint64_t* extrema = minmax_.data() + i * stride;
+    const void* window = InputValues(input);
     if (input.is_expr) {
-      EvaluateExpr(i, start, n);  // memoized per batch
-      const int64_t* values = expr_out_ptrs_[i];
+      const auto* values = static_cast<const int64_t*>(window);
       auto* typed = reinterpret_cast<int64_t*>(extrema);
       for (int g = 0; g < geff; ++g) {
         int64_t e = typed[g];
@@ -948,19 +933,15 @@ Status AggregateProcessor::ProcessMinMaxSorted(size_t start, size_t n,
         typed[g] = e;
       }
     } else {
-      // Decode the full window once at the input's word width, then walk
-      // the sorted index ranges.
-      AlignedBuffer& buf = value_bufs_[i];
-      buf.Resize(n * static_cast<size_t>(input.word_bytes));
-      input.column->UnpackIds(start, n, buf.data(), input.word_bytes);
+      // Walk the sorted index ranges over the window's offsets.
+      const auto* bytes = static_cast<const uint8_t*>(window);
       for (int g = 0; g < geff; ++g) {
         uint64_t e = extrema[g];
         for (uint32_t k = sorted_batch_.offset(g);
              k < sorted_batch_.offset(g + 1); ++k) {
           uint64_t v = 0;
           std::memcpy(&v,
-                      buf.data() + static_cast<size_t>(idx[k]) *
-                                       input.word_bytes,
+                      bytes + static_cast<size_t>(idx[k]) * input.word_bytes,
                       input.word_bytes);
           if (input.op == AggInput::Op::kMin ? v < e : v > e) e = v;
         }
@@ -968,7 +949,6 @@ Status AggregateProcessor::ProcessMinMaxSorted(size_t start, size_t n,
       }
     }
   }
-  return Status::OK();
 }
 
 Status AggregateProcessor::Finish(SegmentResult* out) {
@@ -980,12 +960,12 @@ Status AggregateProcessor::Finish(SegmentResult* out) {
     // [input][group] accumulators (special slot included when present).
     const int geff = multi_agg_.num_groups();
     const size_t ncols = plan_->sum_inputs.size();
-    std::vector<int64_t> flat(static_cast<size_t>(geff) * ncols, 0);
-    multi_agg_.Flush(flat.data());
+    std::fill(multi_flat_.begin(), multi_flat_.end(), 0);
+    multi_agg_.Flush(multi_flat_.data());
     for (int g = 0; g < geff; ++g) {
       for (size_t k = 0; k < ncols; ++k) {
         sums_[static_cast<size_t>(plan_->sum_inputs[k]) * stride + g] +=
-            flat[g * ncols + k];
+            multi_flat_[g * ncols + k];
       }
     }
   }

@@ -16,10 +16,15 @@
 // strategy requires it. Per-segment metadata proves the compensated sums
 // cannot overflow int64; otherwise processing falls back to a checked
 // scalar path.
+//
+// Every aggregate input costs what its encoded width and proven bounds
+// require: each column that raw inputs or expression leaves read is
+// unpacked, gathered or compacted once per batch, at the narrowest word
+// every reader accepts, and the segment's expressions run as one
+// ExprProgram whose nodes are int32 wherever metadata proves they fit.
 #ifndef BIPIE_CORE_AGGREGATE_PROCESSOR_H_
 #define BIPIE_CORE_AGGREGATE_PROCESSOR_H_
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -28,6 +33,7 @@
 #include "core/group_mapper.h"
 #include "core/query.h"
 #include "core/strategy.h"
+#include "expr/arithmetic.h"
 #include "storage/table.h"
 #include "vector/agg_multi.h"
 #include "vector/agg_sort.h"
@@ -35,8 +41,9 @@
 namespace bipie {
 
 // Everything fixed for one segment before any row is read: the bound group
-// mapper, the aggregate inputs at their strategy-resolved word widths, and
-// the PlanDecision holding the aggregation strategy, special-group
+// mapper, the aggregate inputs at their strategy-resolved word widths, the
+// columns each batch decodes, the compiled expression program, and the
+// PlanDecision holding the aggregation strategy, special-group
 // availability, the gather/compact crossover width, byteslice admission and
 // every input that drove them. Metadata only — no scratch buffers. Built
 // once per scanned segment by PlanSegment; the morsels of that segment
@@ -48,7 +55,10 @@ struct SegmentPlan {
     Op op = Op::kSum;
     bool is_expr = false;
     ExprPtr expr;                         // kSumExpr
+    int node = -1;                        // expr: its node in `program`
     const EncodedColumn* column = nullptr;  // raw
+    int table_column = -1;                // raw: the column's table index
+    int column_slot = -1;                 // raw: index into `columns`
     int bit_width = 0;
     int64_t base = 0;
     uint64_t max_offset = 0;
@@ -60,6 +70,18 @@ struct SegmentPlan {
     const EncodedColumn* run_column = nullptr;
   };
 
+  // One column decoded once per batch for every input that reads it.
+  struct DecodedColumn {
+    const EncodedColumn* column = nullptr;
+    int table_column = -1;
+    // kBitPacked columns decode to frame-of-reference offsets at
+    // word_bytes (1/2/4/8), the narrowest word every reader accepts;
+    // expression leaves add the base on load. Other encodings decode to
+    // logical int64.
+    bool offsets = false;
+    int word_bytes = 8;
+  };
+
   const Table* table = nullptr;
   const Segment* segment = nullptr;
   const QuerySpec* query = nullptr;
@@ -68,6 +90,9 @@ struct SegmentPlan {
   std::vector<int> spec_to_input;    // query spec index -> inputs index,
                                      // -1 for count
   std::vector<int> sum_inputs;       // indices of Op::kSum inputs
+  std::vector<DecodedColumn> columns;
+  ExprProgram program;               // every expression input's node
+  std::vector<int> leaf_slots;       // program leaf -> columns index
   PlanDecision decision;
 };
 
@@ -150,11 +175,22 @@ class AggregateProcessor {
 
   BatchMode PickBatchMode(size_t n, size_t selected, const uint8_t* sel);
 
-  // Builds dense group ids + per-input dense decoded arrays for the modes
-  // that need them (in-register / multi / scalar). Returns the dense row
-  // count.
-  size_t BuildDenseBatch(size_t start, size_t n, const uint8_t* sel,
-                         BatchMode mode);
+  // Builds dense group ids and every input's dense values for the modes
+  // that need them (in-register / multi / scalar); *m receives the dense
+  // row count.
+  Status BuildDenseBatch(size_t start, size_t n, const uint8_t* sel,
+                         BatchMode mode, size_t* m);
+  // Decodes every plan column for the batch: the window's n rows in the
+  // full and special-group modes, the m selected rows (`indices` for
+  // gather) otherwise.
+  void LoadColumns(size_t start, size_t n, const uint8_t* sel, BatchMode mode,
+                   const uint32_t* indices, size_t m);
+  // Runs the expression program over the m decoded rows; an unprovable
+  // node's overflow counts only on rows `mask` selects (all when null).
+  Status EvaluateExpressions(size_t m, const uint8_t* mask);
+  // Input `input`'s values this batch: its expression root's array, or its
+  // column's offsets.
+  const void* InputValues(const SegmentPlan::AggInput& input) const;
 
   Status ProcessInRegister(size_t start, size_t n, const uint8_t* sel,
                            BatchMode mode);
@@ -165,21 +201,13 @@ class AggregateProcessor {
   Status ProcessScalar(size_t start, size_t n, const uint8_t* sel,
                        BatchMode mode, bool checked);
 
-  // Decodes logical int64 values of table column `col_idx` for the window
-  // into expr_col_bufs_[col_idx] (full window, no selection).
-  void DecodeExprColumn(int col_idx, size_t start, size_t n);
-  // Evaluates input `i` (an expression) over the full window into
-  // expr_out_bufs_[i].
-  void EvaluateExpr(size_t input_index, size_t start, size_t n);
-
   const SegmentPlan* plan_ = nullptr;
   std::unique_ptr<SegmentPlan> owned_plan_;  // Bind's plan
 
-  // MIN/MAX extrema for every dense-mode row batch; value pointers follow
-  // the same expr/raw rules the scalar strategy uses.
-  void ProcessMinMaxDense(BatchMode mode, size_t m, int geff);
+  // MIN/MAX extrema for every dense-mode row batch.
+  void ProcessMinMaxDense(size_t m, int geff);
   // MIN/MAX for the sort-based path (full-window values + sorted indices).
-  Status ProcessMinMaxSorted(size_t start, size_t n, int geff);
+  void ProcessMinMaxSorted(int geff);
 
   // Accumulators sized num_groups + 1 (last slot = special group).
   std::vector<uint64_t> counts_;
@@ -188,16 +216,19 @@ class AggregateProcessor {
 
   MultiAggregator multi_agg_;
   bool multi_agg_ready_ = false;
+  std::vector<const void*> multi_ptrs_;  // per sum input, this batch
+  std::vector<int64_t> multi_flat_;      // Finish's [group][sum] drain
   SortedBatch sorted_batch_;
 
   // Scratch (reused across batches).
   AlignedBuffer groups_buf_;
   AlignedBuffer group_scratch_;  // second group column's ids (GroupMapper)
   AlignedBuffer indices_buf_;
-  std::vector<AlignedBuffer> value_bufs_;     // per input dense values
-  std::vector<AlignedBuffer> expr_col_bufs_;  // per table column, logical i64
-  std::vector<AlignedBuffer> expr_out_bufs_;  // per input, expr results
-  std::vector<const int64_t*> expr_out_ptrs_; // per input, possibly aliased
+  std::vector<AlignedBuffer> column_bufs_;  // per plan column
+  std::vector<AlignedBuffer> root_bufs_;    // per program root
+  std::vector<void*> root_ptrs_;            // root_bufs_ data, for Run
+  std::vector<ExprProgram::Leaf> leaves_;   // per program leaf
+  AlignedBuffer slice_scratch_;             // the program's interior slices
   AlignedBuffer compact_scratch_;
 
   // Run-level state (kRunBased): per-input cursor into RLE aggregate run
@@ -208,12 +239,6 @@ class AggregateProcessor {
     size_t run_start = 0;
   };
   std::vector<RunCursor> run_cursors_;
-
-  // Per-batch memoization: columns are decoded and shared subexpressions
-  // evaluated at most once per batch (Q1's charge reuses disc_price).
-  uint64_t batch_seq_ = 0;
-  std::vector<uint64_t> col_cache_tag_;  // per table column
-  ExprCache expr_cache_;
 
   SelectionStats selection_stats_;
 };

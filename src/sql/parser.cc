@@ -317,11 +317,11 @@ class Parser {
       if (AcceptSymbol("+")) {
         Result<ExprPtr> rhs = ParseTerm();
         if (!rhs.ok()) return rhs;
-        expr = Expr::Add(expr, rhs.value());
+        expr = Intern(Expr::Add(expr, rhs.value()));
       } else if (AcceptSymbol("-")) {
         Result<ExprPtr> rhs = ParseTerm();
         if (!rhs.ok()) return rhs;
-        expr = Expr::Sub(expr, rhs.value());
+        expr = Intern(Expr::Sub(expr, rhs.value()));
       } else {
         return expr;
       }
@@ -335,7 +335,7 @@ class Parser {
     while (AcceptSymbol("*")) {
       Result<ExprPtr> rhs = ParseFactor();
       if (!rhs.ok()) return rhs;
-      expr = Expr::Mul(expr, rhs.value());
+      expr = Intern(Expr::Mul(expr, rhs.value()));
     }
     return expr;
   }
@@ -350,10 +350,10 @@ class Parser {
     if (AcceptSymbol("-")) {
       Result<ExprPtr> inner = ParseFactor();
       if (!inner.ok()) return inner;
-      return Expr::Sub(Expr::Constant(0), inner.value());
+      return Intern(Expr::Sub(Intern(Expr::Constant(0)), inner.value()));
     }
     if (Peek().kind == TokenKind::kInteger) {
-      return Expr::Constant(Next().value);
+      return Intern(Expr::Constant(Next().value));
     }
     if (Peek().kind == TokenKind::kIdentifier) {
       const Token& name = Next();
@@ -361,7 +361,7 @@ class Parser {
       if (idx < 0) {
         return ErrorAtToken(name, "unknown column");
       }
-      return Expr::Column(idx);
+      return Intern(Expr::Column(idx));
     }
     return ErrorAtToken(Peek(), "expected expression");
   }
@@ -436,9 +436,25 @@ class Parser {
     return ErrorAtToken(Peek(), "expected literal after operator");
   }
 
+  // One node per structurally equal subtree of the statement: `e`'s
+  // operands are already interned, so equal operands are the same node.
+  ExprPtr Intern(ExprPtr e) {
+    for (const ExprPtr& seen : exprs_) {
+      if (seen->kind() == e->kind() && seen->lhs() == e->lhs() &&
+          seen->rhs() == e->rhs() &&
+          seen->column_index() == e->column_index() &&
+          seen->constant() == e->constant()) {
+        return seen;
+      }
+    }
+    exprs_.push_back(e);
+    return e;
+  }
+
   std::vector<Token> tokens_;
   const Table& table_;
   size_t pos_ = 0;
+  std::vector<ExprPtr> exprs_;  // every node built so far, for Intern
 };
 
 }  // namespace

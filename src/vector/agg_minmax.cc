@@ -39,6 +39,10 @@ void ScalarDispatch(const uint8_t* groups, const void* values,
       ScalarImpl<uint32_t, kIsMin>(
           groups, static_cast<const uint32_t*>(values), n, extrema);
       return;
+    case 8:
+      ScalarImpl<uint64_t, kIsMin>(
+          groups, static_cast<const uint64_t*>(values), n, extrema);
+      return;
     default:
       BIPIE_DCHECK(false);
   }

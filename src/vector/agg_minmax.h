@@ -16,8 +16,10 @@
 namespace bipie {
 
 // extrema[g] = min(extrema[g], min over rows of group g). Values are
-// unsigned words of `word_bytes` in {1, 2, 4}; group ids are bytes below
-// num_groups (<= 256). int64 value arrays use the I64 variants.
+// unsigned words of `word_bytes` in {1, 2, 4, 8} (8: a column that a
+// multi-aggregate SUM decodes to 8-byte offsets; scalar loop); group ids
+// are bytes below num_groups (<= 256). int64 value arrays use the I64
+// variants.
 void GroupedMinU(const uint8_t* groups, const void* values, int word_bytes,
                  size_t n, int num_groups, uint64_t* extrema);
 void GroupedMaxU(const uint8_t* groups, const void* values, int word_bytes,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/cpu.h"
 #include "common/macros.h"
@@ -13,19 +14,54 @@ namespace {
 // SIMD accumulator lanes holding sums of values < 2^16 wrap only after
 // 65536 additions; drain at that cadence (§5.4's 65536-row guarantee).
 constexpr size_t kDrainRows = 65536;
+// Accumulator copies per group (see the header comment).
+constexpr int kCopies = 4;
 
-// Accumulates `n` rows (n % 4 == 0) with N64 full qword columns and NP
-// 32-bit pairs. acc holds one 256-bit accumulator per group.
-template <int N64, int NP>
-void ProcessChunk(const int64_t* const* cols64, const uint32_t* const* pair_a,
-                  const uint32_t* const* pair_b, const uint8_t* groups,
-                  size_t base, size_t n, __m256i* acc) {
+// Typed input arrays, in lane order: full, widened, then pairs.
+struct LaneInputs {
+  const int64_t* full[4];
+  const int32_t* widened[4];
+  const uint32_t* pair_a[4];
+  const uint32_t* pair_b[4];
+};
+
+// One value of column `desc` at row i, as its sum sees it. Each width
+// returns on its own: a single conditional over int32 and uint32 operands
+// would convert both to uint32 and zero-extend negative values.
+int64_t LoadValue(const MultiAggregator::ColumnDesc& desc, const void* data,
+                  size_t i) {
+  if (desc.input_bytes == 8) return static_cast<const int64_t*>(data)[i];
+  if (desc.widen) return static_cast<const int32_t*>(data)[i];
+  return static_cast<const uint32_t*>(data)[i];
+}
+
+// Accumulates `n` rows (n % 4 == 0) with NF full int64 columns, NW widened
+// int32 columns and NP 32-bit pairs. acc holds kCopies 256-bit accumulators
+// per group.
+template <int NF, int NW, int NP>
+void ProcessChunk(const LaneInputs& in, const uint8_t* groups, size_t base,
+                  size_t n, __m256i* acc) {
+  // Local copies: the accumulator stores may alias anything, and the
+  // pointers would otherwise be reloaded after every one.
+  const int64_t* full[NF > 0 ? NF : 1];
+  const int32_t* widened[NW > 0 ? NW : 1];
+  const uint32_t* pair_a[NP > 0 ? NP : 1];
+  const uint32_t* pair_b[NP > 0 ? NP : 1];
+  for (int j = 0; j < NF; ++j) full[j] = in.full[j];
+  for (int j = 0; j < NW; ++j) widened[j] = in.widened[j];
+  for (int j = 0; j < NP; ++j) {
+    pair_a[j] = in.pair_a[j];
+    pair_b[j] = in.pair_b[j];
+  }
   for (size_t i = base; i + 4 <= base + n; i += 4) {
     __m256i q[4];
     int s = 0;
-    for (int j = 0; j < N64; ++j, ++s) {
-      q[s] = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(cols64[j] + i));
+    for (int j = 0; j < NF; ++j, ++s) {
+      q[s] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(full[j] + i));
+    }
+    for (int j = 0; j < NW; ++j, ++s) {
+      q[s] = _mm256_cvtepi32_epi64(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(widened[j] + i)));
     }
     for (int j = 0; j < NP; ++j, ++s) {
       const __m128i a = _mm_loadu_si128(
@@ -49,43 +85,47 @@ void ProcessChunk(const int64_t* const* cols64, const uint32_t* const* pair_a,
     const __m256i r2 = _mm256_permute2x128_si256(t0, t2, 0x31);
     const __m256i r3 = _mm256_permute2x128_si256(t1, t3, 0x31);
 
-    // One load-add-store per row updates every sum (the paper's pitch).
-    __m256i* a0 = acc + groups[i];
+    // One load-add-store per row updates every sum (the paper's pitch);
+    // row i + k uses copy k, so the four stores never depend on each other.
+    __m256i* a0 = acc + groups[i] * kCopies;
     *a0 = _mm256_add_epi64(*a0, r0);
-    __m256i* a1 = acc + groups[i + 1];
+    __m256i* a1 = acc + groups[i + 1] * kCopies + 1;
     *a1 = _mm256_add_epi64(*a1, r1);
-    __m256i* a2 = acc + groups[i + 2];
+    __m256i* a2 = acc + groups[i + 2] * kCopies + 2;
     *a2 = _mm256_add_epi64(*a2, r2);
-    __m256i* a3 = acc + groups[i + 3];
+    __m256i* a3 = acc + groups[i + 3] * kCopies + 3;
     *a3 = _mm256_add_epi64(*a3, r3);
   }
 }
 
-using ChunkFn = void (*)(const int64_t* const*, const uint32_t* const*,
-                         const uint32_t* const*, const uint8_t*, size_t,
-                         size_t, __m256i*);
+using ChunkFn = void (*)(const LaneInputs&, const uint8_t*, size_t, size_t,
+                         __m256i*);
 
-ChunkFn ResolveChunkFn(int n64, int np) {
-  switch (n64 * 8 + np) {
-    case 0 * 8 + 1: return &ProcessChunk<0, 1>;
-    case 0 * 8 + 2: return &ProcessChunk<0, 2>;
-    case 0 * 8 + 3: return &ProcessChunk<0, 3>;
-    case 0 * 8 + 4: return &ProcessChunk<0, 4>;
-    case 1 * 8 + 0: return &ProcessChunk<1, 0>;
-    case 1 * 8 + 1: return &ProcessChunk<1, 1>;
-    case 1 * 8 + 2: return &ProcessChunk<1, 2>;
-    case 1 * 8 + 3: return &ProcessChunk<1, 3>;
-    case 2 * 8 + 0: return &ProcessChunk<2, 0>;
-    case 2 * 8 + 1: return &ProcessChunk<2, 1>;
-    case 2 * 8 + 2: return &ProcessChunk<2, 2>;
-    case 3 * 8 + 0: return &ProcessChunk<3, 0>;
-    case 3 * 8 + 1: return &ProcessChunk<3, 1>;
-    case 4 * 8 + 0: return &ProcessChunk<4, 0>;
-    default:
-      BIPIE_DCHECK(false);
-      return nullptr;
+// Kernels for every (full, widened, pairs) lane split, indexed
+// full * 25 + widened * 5 + pairs; splits over four lanes stay null.
+template <size_t I>
+constexpr ChunkFn ChunkEntry() {
+  constexpr int kFull = I / 25, kWide = (I / 5) % 5, kPairs = I % 5;
+  if constexpr (kFull + kWide + kPairs >= 1 && kFull + kWide + kPairs <= 4) {
+    return &ProcessChunk<kFull, kWide, kPairs>;
+  } else {
+    return nullptr;
   }
 }
+
+// A plain array member: __m256i's attributes would be dropped (and warned
+// about) in a std::array template argument.
+struct ChunkTable {
+  ChunkFn fns[125];
+};
+
+template <size_t... I>
+constexpr ChunkTable MakeChunkTable(std::index_sequence<I...>) {
+  return {{ChunkEntry<I>()...}};
+}
+
+constexpr ChunkTable kChunkTable =
+    MakeChunkTable(std::make_index_sequence<125>{});
 
 }  // namespace
 
@@ -99,18 +139,23 @@ Status MultiAggregator::Configure(const std::vector<ColumnDesc>& columns,
   }
   columns_ = columns;
   num_groups_ = num_groups;
-  qword_cols_.clear();
+  full_cols_.clear();
+  widened_cols_.clear();
   pairs_.clear();
 
   std::vector<int> narrow_cols;
   for (size_t c = 0; c < columns.size(); ++c) {
-    if (columns[c].input_bytes == 8) {
-      qword_cols_.push_back(static_cast<int>(c));
-    } else if (columns[c].input_bytes == 4) {
+    const ColumnDesc& d = columns[c];
+    if (d.input_bytes == 8 && !d.widen) {
+      full_cols_.push_back(static_cast<int>(c));
+    } else if (d.input_bytes == 4 && d.widen) {
+      widened_cols_.push_back(static_cast<int>(c));
+    } else if (d.input_bytes == 4) {
       narrow_cols.push_back(static_cast<int>(c));
     } else {
       return Status::InvalidArgument(
-          "multi-aggregate input arrays must be 4 or 8 bytes per element");
+          "multi-aggregate input arrays must be 4 or 8 bytes per element, "
+          "and only 4-byte ones widen");
     }
   }
   for (size_t i = 0; i < narrow_cols.size(); i += 2) {
@@ -119,14 +164,15 @@ Status MultiAggregator::Configure(const std::vector<ColumnDesc>& columns,
     p.col_b = i + 1 < narrow_cols.size() ? narrow_cols[i + 1] : -1;
     pairs_.push_back(p);
   }
-  num_qword_slots_ = static_cast<int>(qword_cols_.size());
+  num_full_ = static_cast<int>(full_cols_.size());
+  num_widened_ = static_cast<int>(widened_cols_.size());
   num_pairs_ = static_cast<int>(pairs_.size());
-  if (num_qword_slots_ + num_pairs_ > 4) {
+  if (num_full_ + num_widened_ + num_pairs_ > 4) {
     return Status::NotSupported(
         "expanded aggregate row exceeds one 256-bit register");
   }
 
-  acc_.Resize(static_cast<size_t>(num_groups_) * sizeof(__m256i));
+  acc_.Resize(static_cast<size_t>(num_groups_) * kCopies * sizeof(__m256i));
   acc_.ZeroFill();
   partials_.assign(static_cast<size_t>(num_groups_) * columns_.size(), 0);
   rows_since_drain_ = 0;
@@ -136,51 +182,41 @@ Status MultiAggregator::Configure(const std::vector<ColumnDesc>& columns,
 void MultiAggregator::Process(const uint8_t* groups,
                               const void* const* col_data, size_t n) {
   const size_t ncols = columns_.size();
-  if (CurrentIsaTier() < IsaTier::kAvx2) {
-    for (size_t i = 0; i < n; ++i) {
-      int64_t* row = partials_.data() + groups[i] * ncols;
-      for (size_t c = 0; c < ncols; ++c) {
-        row[c] += columns_[c].input_bytes == 8
-                      ? static_cast<const int64_t*>(col_data[c])[i]
-                      : static_cast<const uint32_t*>(col_data[c])[i];
-      }
-    }
-    return;
-  }
-
-  // Resolve typed pointer arrays once per call.
-  const int64_t* cols64[4];
-  const uint32_t* pair_a[4];
-  const uint32_t* pair_b[4];
-  for (int j = 0; j < num_qword_slots_; ++j) {
-    cols64[j] = static_cast<const int64_t*>(col_data[qword_cols_[j]]);
-  }
-  for (int j = 0; j < num_pairs_; ++j) {
-    pair_a[j] = static_cast<const uint32_t*>(col_data[pairs_[j].col_a]);
-    // A dummy half duplicates col_a; its lane is discarded at drain time.
-    pair_b[j] = pairs_[j].col_b >= 0
-                    ? static_cast<const uint32_t*>(col_data[pairs_[j].col_b])
-                    : pair_a[j];
-  }
-  const ChunkFn chunk_fn = ResolveChunkFn(num_qword_slots_, num_pairs_);
-  auto* acc = acc_.data_as<__m256i>();
-
   size_t i = 0;
-  while (i + 4 <= n) {
-    const size_t room = kDrainRows - rows_since_drain_;
-    const size_t m = std::min((n - i) & ~size_t{3}, room);
-    chunk_fn(cols64, pair_a, pair_b, groups, i, m, acc);
-    i += m;
-    rows_since_drain_ += m;
-    if (rows_since_drain_ >= kDrainRows) DrainSimdAccumulators();
+  if (CurrentIsaTier() >= IsaTier::kAvx2) {
+    LaneInputs in{};
+    for (int j = 0; j < num_full_; ++j) {
+      in.full[j] = static_cast<const int64_t*>(col_data[full_cols_[j]]);
+    }
+    for (int j = 0; j < num_widened_; ++j) {
+      in.widened[j] = static_cast<const int32_t*>(col_data[widened_cols_[j]]);
+    }
+    for (int j = 0; j < num_pairs_; ++j) {
+      in.pair_a[j] = static_cast<const uint32_t*>(col_data[pairs_[j].col_a]);
+      // A dummy half duplicates col_a; its lane is discarded at drain time.
+      in.pair_b[j] =
+          pairs_[j].col_b >= 0
+              ? static_cast<const uint32_t*>(col_data[pairs_[j].col_b])
+              : in.pair_a[j];
+    }
+    const ChunkFn chunk_fn =
+        kChunkTable.fns[num_full_ * 25 + num_widened_ * 5 + num_pairs_];
+    BIPIE_DCHECK(chunk_fn != nullptr);
+    auto* acc = acc_.data_as<__m256i>();
+    while (i + 4 <= n) {
+      const size_t room = kDrainRows - rows_since_drain_;
+      const size_t m = std::min((n - i) & ~size_t{3}, room);
+      chunk_fn(in, groups, i, m, acc);
+      i += m;
+      rows_since_drain_ += m;
+      if (rows_since_drain_ >= kDrainRows) DrainSimdAccumulators();
+    }
   }
-  // Scalar tail goes straight to the 64-bit partials.
+  // Scalar tier, and the SIMD tail: straight to the 64-bit partials.
   for (; i < n; ++i) {
     int64_t* row = partials_.data() + groups[i] * ncols;
     for (size_t c = 0; c < ncols; ++c) {
-      row[c] += columns_[c].input_bytes == 8
-                    ? static_cast<const int64_t*>(col_data[c])[i]
-                    : static_cast<const uint32_t*>(col_data[c])[i];
+      row[c] += LoadValue(columns_[c], col_data[c], i);
     }
   }
 }
@@ -189,18 +225,26 @@ void MultiAggregator::DrainSimdAccumulators() {
   const size_t ncols = columns_.size();
   auto* acc = acc_.data_as<__m256i>();
   for (int g = 0; g < num_groups_; ++g) {
+    __m256i* copies = acc + static_cast<size_t>(g) * kCopies;
+    // The header's drain proof: no pair half carries in this sum.
+    const __m256i sum =
+        _mm256_add_epi64(_mm256_add_epi64(copies[0], copies[1]),
+                         _mm256_add_epi64(copies[2], copies[3]));
+    for (int k = 0; k < kCopies; ++k) copies[k] = _mm256_setzero_si256();
     alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc[g]);
-    acc[g] = _mm256_setzero_si256();
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), sum);
     int64_t* row = partials_.data() + static_cast<size_t>(g) * ncols;
-    for (int j = 0; j < num_qword_slots_; ++j) {
-      row[qword_cols_[j]] += static_cast<int64_t>(lanes[j]);
+    int lane = 0;
+    for (int j = 0; j < num_full_; ++j, ++lane) {
+      row[full_cols_[j]] += static_cast<int64_t>(lanes[lane]);
     }
-    for (int j = 0; j < num_pairs_; ++j) {
-      const uint64_t lane = lanes[num_qword_slots_ + j];
-      row[pairs_[j].col_a] += static_cast<int64_t>(lane & 0xFFFFFFFFULL);
+    for (int j = 0; j < num_widened_; ++j, ++lane) {
+      row[widened_cols_[j]] += static_cast<int64_t>(lanes[lane]);
+    }
+    for (int j = 0; j < num_pairs_; ++j, ++lane) {
+      row[pairs_[j].col_a] += static_cast<int64_t>(lanes[lane] & 0xFFFFFFFFULL);
       if (pairs_[j].col_b >= 0) {
-        row[pairs_[j].col_b] += static_cast<int64_t>(lane >> 32);
+        row[pairs_[j].col_b] += static_cast<int64_t>(lanes[lane] >> 32);
       }
     }
   }

@@ -6,9 +6,20 @@
 //
 // Packing rules follow the paper: inputs of 1–2 bytes are expanded to
 // 32-bit slots, anything larger to 64-bit slots; 32-bit slots are paired
-// into aligned 64-bit lanes. The whole packed row is accumulated with one
-// 64-bit SIMD addition — a 32-bit lane holding sums of values < 2^16 cannot
-// carry into its neighbor within 65536 rows, which is the flush cadence.
+// into aligned 64-bit lanes. 4-byte inputs that need a 64-bit sum (raw
+// offsets of 17–31 bits, int32 expression results) are *widened on load*:
+// the kernel sign-extends them into a full lane instead of taking an int64
+// array. The whole packed row is accumulated with one 64-bit SIMD
+// addition.
+//
+// Rows i + k of each 4-row chunk add into accumulator copy k of their
+// group, so consecutive rows of one group do not wait on each other's
+// store (the §5.1 multi-array fix, applied to the packed row). The copies
+// are summed at every drain. Drain proof: drains come every 65536 chunk
+// rows, each copy sees exactly a quarter of them, so a copy's 32-bit pair
+// half holds at most 16384 values < 2^16, and the four copies' halves sum
+// to less than 65536 * 2^16 = 2^32 — the 64-bit addition of the copies
+// cannot carry from one half into the other.
 //
 // Column-major inputs become row-major via a 4x4 64-bit SIMD transpose
 // (pairs of 32-bit columns are first interleaved into pseudo-64-bit
@@ -31,18 +42,20 @@ class MultiAggregator {
   // One aggregate input column.
   struct ColumnDesc {
     // Width of the *decoded* input array elements: 4 => uint32_t values
-    // strictly below 2^16 (expanded from 1–2 byte inputs); 8 => int64
-    // values (4–8 byte inputs and expression results).
+    // strictly below 2^16 (expanded from 1–2 byte inputs), two per 64-bit
+    // lane; 8 => int64 values, one per lane.
     int input_bytes = 8;
+    // With input_bytes 4: int32_t values of any magnitude, sign-extended
+    // into a full 64-bit lane on load.
+    bool widen = false;
   };
 
   static constexpr int kMaxGroups = 256;
 
   MultiAggregator() = default;
 
-  // Plans the register layout. Fails with OverflowRisk-free NotSupported if
-  // the expanded row does not fit a 256-bit register (more than four 64-bit
-  // lanes).
+  // Plans the register layout. Fails with NotSupported if the expanded row
+  // does not fit a 256-bit register (more than four 64-bit lanes).
   Status Configure(const std::vector<ColumnDesc>& columns, int num_groups);
 
   // Accumulates n rows. groups[i] < num_groups. col_data[c] must point to
@@ -57,7 +70,9 @@ class MultiAggregator {
   int num_columns() const { return static_cast<int>(columns_.size()); }
   int num_groups() const { return num_groups_; }
   // Bytes of one packed row after expansion (diagnostics / tests).
-  int packed_row_bytes() const { return 8 * (num_qword_slots_ + num_pairs_); }
+  int packed_row_bytes() const {
+    return 8 * (num_full_ + num_widened_ + num_pairs_);
+  }
 
  private:
   struct Pair {
@@ -69,12 +84,14 @@ class MultiAggregator {
 
   std::vector<ColumnDesc> columns_;
   int num_groups_ = 0;
-  std::vector<int> qword_cols_;  // columns owning full 64-bit lanes
-  std::vector<Pair> pairs_;      // paired 32-bit lanes
-  int num_qword_slots_ = 0;
+  std::vector<int> full_cols_;      // int64 columns owning full lanes
+  std::vector<int> widened_cols_;   // int32 columns widened into full lanes
+  std::vector<Pair> pairs_;         // paired 32-bit lanes
+  int num_full_ = 0;
+  int num_widened_ = 0;
   int num_pairs_ = 0;
 
-  AlignedBuffer acc_;               // one __m256i per group
+  AlignedBuffer acc_;               // four __m256i copies per group
   std::vector<int64_t> partials_;   // [group][column] drained sums
   size_t rows_since_drain_ = 0;
 };

@@ -12,6 +12,7 @@
 #include "baseline/scalar_engine.h"
 #include "common/random.h"
 #include "obs/metrics.h"
+#include "sql/parser.h"
 
 namespace bipie {
 namespace {
@@ -301,6 +302,107 @@ TEST(ScanTest, ActualOverflowIsReportedNotWrapped) {
   auto got = test::ExecuteChecked(table, query);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kOverflowRisk);
+
+  // An expression whose rows overflow before any sum does: v * v over
+  // v = 2^40 + i is about 2^80 per row. No interval bounds it, and every
+  // engine must report the wrap rather than sum wrapped products.
+  Table squares({{"v", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  TableAppender sq(&squares, 4096);
+  for (int64_t i = 0; i < 10; ++i) sq.AppendRow({(int64_t{1} << 40) + i});
+  sq.Flush();
+  QuerySpec square_query;
+  square_query.aggregates = {AggregateSpec::SumExpr(
+      Expr::Mul(Expr::Column(0), Expr::Column(0)))};
+  auto parsed = ParseQuery("SELECT sum(v * v) FROM t", squares);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::vector<std::pair<const char*, Result<QueryResult>>> engines = {
+      {"scan", test::ExecuteChecked(squares, square_query)},
+      {"hash", ExecuteQueryHashAgg(squares, square_query)},
+      {"naive", ExecuteQueryNaive(squares, square_query)},
+      {"sql", ExecuteQuery(squares, parsed.value().spec)}};
+  for (const auto& [engine, result] : engines) {
+    ASSERT_FALSE(result.ok())
+        << engine << " returned " << result.value().rows[0].sums[0];
+    EXPECT_EQ(result.status().code(), StatusCode::kOverflowRisk) << engine;
+  }
+}
+
+TEST(ScanTest, UnprovableExpressionThatFitsSumsExactly) {
+  // a reaches 2^40 only beside b <= 2, and b reaches 2^30 only beside
+  // a <= 2: the interval of a * b (up to 2^70) proves nothing, yet every
+  // row's product fits, so the checked path must return the exact sum.
+  Table table({{"a", ColumnType::kInt64, EncodingChoice::kBitPacked},
+               {"b", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  TableAppender app(&table, 4096);
+  int64_t expected = 0;
+  for (int64_t i = 0; i < 40; ++i) {
+    const int64_t a = i % 2 == 0 ? (int64_t{1} << 40) - i : i % 3;
+    const int64_t b = i % 2 == 0 ? i % 3 : (int64_t{1} << 30) - i;
+    app.AppendRow({a, b});
+    expected += a * b;
+  }
+  app.Flush();
+  QuerySpec query;
+  query.aggregates = {AggregateSpec::SumExpr(
+      Expr::Mul(Expr::Column(0), Expr::Column(1)))};
+  auto got = test::ExecuteChecked(table, query);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value().rows[0].sums[0], expected);
+  auto hashed = ExecuteQueryHashAgg(table, query);
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  EXPECT_EQ(hashed.value().rows[0].sums[0], expected);
+  auto naive = ExecuteQueryNaive(table, query);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(naive.value().rows[0].sums[0], expected);
+}
+
+TEST(ScanTest, OverflowOnFilteredRowsIsNotReported) {
+  // Only rows the filter keeps are aggregated, so a product that overflows
+  // on a rejected row is no error, and neither is a sum the rejected rows
+  // alone would overflow (the special group collects them) — in any
+  // selection mode.
+  Table table({{"k", ColumnType::kInt64, EncodingChoice::kBitPacked},
+               {"v", ColumnType::kInt64, EncodingChoice::kBitPacked},
+               {"w", ColumnType::kInt64, EncodingChoice::kBitPacked}});
+  TableAppender app(&table, 4096);
+  int64_t expected = 0, expected_w = 0;
+  for (int64_t i = 0; i < 4096; ++i) {
+    const bool kept = i % 64 != 0;
+    const int64_t v = kept ? i : (int64_t{1} << 40) + i;
+    const int64_t w = kept ? i : int64_t{1} << 62;
+    app.AppendRow({kept ? 1 : 0, v, w});
+    if (kept) {
+      expected += v * v;
+      expected_w += w;
+    }
+  }
+  app.Flush();
+  QuerySpec query;
+  query.aggregates = {
+      AggregateSpec::SumExpr(Expr::Mul(Expr::Column(1), Expr::Column(1))),
+      AggregateSpec::Sum("w")};
+  query.filters.emplace_back("k", CompareOp::kEq, int64_t{1});
+  for (const SelectionStrategy sel :
+       {SelectionStrategy::kGather, SelectionStrategy::kCompact,
+        SelectionStrategy::kSpecialGroup}) {
+    ScanOptions options;
+    options.overrides.selection = sel;
+    auto got = test::ExecuteChecked(table, query, options);
+    ASSERT_TRUE(got.ok()) << SelectionStrategyName(sel) << ": "
+                          << got.status().ToString();
+    EXPECT_EQ(got.value().rows[0].sums[0], expected)
+        << SelectionStrategyName(sel);
+    EXPECT_EQ(got.value().rows[0].sums[1], expected_w)
+        << SelectionStrategyName(sel);
+  }
+  auto hashed = ExecuteQueryHashAgg(table, query);
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  EXPECT_EQ(hashed.value().rows[0].sums[0], expected);
+  EXPECT_EQ(hashed.value().rows[0].sums[1], expected_w);
+  auto naive = ExecuteQueryNaive(table, query);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(naive.value().rows[0].sums[0], expected);
+  EXPECT_EQ(naive.value().rows[0].sums[1], expected_w);
 }
 
 // Twelve rows of `value` in 4-row segments. Each segment's overflow proof

@@ -76,6 +76,24 @@ TEST(SqlParserTest, SumExpressionWithPrecedence) {
   EXPECT_EQ(out, 967);
 }
 
+TEST(SqlParserTest, StructurallyEqualSubtreesAreOneNode) {
+  // Q1's shape: the second sum multiplies the first one's whole argument,
+  // which the parser must hand back as the same node, not a copy.
+  Table t = MakeTable();
+  auto parsed = ParseQuery(
+      "SELECT sum(amount * (100 - tax)), "
+      "sum(amount * (100 - tax) * (100 + qty)) FROM x",
+      t);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const auto& aggs = parsed.value().spec.aggregates;
+  ASSERT_EQ(aggs.size(), 2u);
+  ASSERT_EQ(aggs[1].expr->kind(), ExprKind::kMul);
+  EXPECT_EQ(aggs[1].expr->lhs().get(), aggs[0].expr.get());
+  // Leaves and constants are shared too: both 100s are one node.
+  EXPECT_EQ(aggs[0].expr->rhs()->lhs().get(),
+            aggs[1].expr->rhs()->lhs().get());
+}
+
 TEST(SqlParserTest, UnaryMinusAndNegativeLiterals) {
   Table t = MakeTable();
   auto parsed = ParseQuery(

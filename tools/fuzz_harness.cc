@@ -47,6 +47,27 @@ struct ValueColumn {
 
 std::string GroupString(int id) { return "grp" + std::to_string(id); }
 
+// One of the encodings a value column may take. Dictionary is only forced
+// when the domain provably fits the 2^16-entry cap; the other encodings
+// take any range.
+EncodingChoice DrawEncoding(const ValueColumn& vc, Rng* rng) {
+  switch (rng->NextBounded(6)) {
+    case 0:
+      return EncodingChoice::kBitPacked;
+    case 1:
+      return (vc.hi - vc.lo) < (1 << 12) ? EncodingChoice::kDictionary
+                                         : EncodingChoice::kAuto;
+    case 2:
+      return EncodingChoice::kDelta;
+    case 3:
+      return EncodingChoice::kRle;
+    case 4:
+      return EncodingChoice::kByteSliced;
+    default:
+      return EncodingChoice::kAuto;
+  }
+}
+
 Schema MakeFuzzSchema(const CaseParams& p, Rng* rng,
                       std::vector<ValueColumn>* value_cols,
                       bool* g1_is_string) {
@@ -68,8 +89,7 @@ Schema MakeFuzzSchema(const CaseParams& p, Rng* rng,
                           : EncodingChoice::kDictionary});
   }
   // Three aggregate/filter value columns spanning the encoding and bit-width
-  // matrix. Dictionary is only forced when the domain provably fits the
-  // 2^16-entry cap; the other encodings take any range.
+  // matrix.
   for (int c = 0; c < 3; ++c) {
     ValueColumn vc;
     const int bits = 1 + static_cast<int>(rng->NextBounded(40));
@@ -78,27 +98,7 @@ Schema MakeFuzzSchema(const CaseParams& p, Rng* rng,
     vc.lo = base;
     vc.hi = base + (bits >= 62 ? (int64_t{1} << 40)
                                : std::max<int64_t>(0, (int64_t{1} << bits) - 1));
-    switch (rng->NextBounded(6)) {
-      case 0:
-        vc.encoding = EncodingChoice::kBitPacked;
-        break;
-      case 1:
-        vc.encoding = (vc.hi - vc.lo) < (1 << 12) ? EncodingChoice::kDictionary
-                                                  : EncodingChoice::kAuto;
-        break;
-      case 2:
-        vc.encoding = EncodingChoice::kDelta;
-        break;
-      case 3:
-        vc.encoding = EncodingChoice::kRle;
-        break;
-      case 4:
-        vc.encoding = EncodingChoice::kByteSliced;
-        break;
-      default:
-        vc.encoding = EncodingChoice::kAuto;
-        break;
-    }
+    vc.encoding = DrawEncoding(vc, rng);
     value_cols->push_back(vc);
     schema.push_back(
         {"v" + std::to_string(c), ColumnType::kInt64, vc.encoding});
@@ -117,11 +117,139 @@ Schema MakeFuzzSchema(const CaseParams& p, Rng* rng,
   return schema;
 }
 
+// The expression columns x0..x2 and sums of one expr_shape case. Drawn
+// from its own generator, so every other column and aggregate of a seed
+// stays as it was without them.
+struct ExprShape {
+  ValueColumn cols[3];
+  int64_t k1 = 0;
+  int64_t k2 = 0;
+  // Shape 2 beyond int64: a large x0 only beside x1 <= 2 and vice versa,
+  // except rows drawn at `overflow_rate`, which pair two large values.
+  bool paired_extremes = false;
+  double overflow_rate = 0.0;
+};
+
+ExprShape MakeExprShape(const CaseParams& p, Rng* rng) {
+  ExprShape shape;
+  ValueColumn* x = shape.cols;
+  switch (p.expr_shape) {
+    case 1: {
+      // Q1: price * (K - discount) crosses 2^31 as the price width grows
+      // past ~24 bits; the charge factor always needs 64 bits.
+      const int bits = 20 + static_cast<int>(rng->NextBounded(9));
+      x[0] = {0, (int64_t{1} << bits) - 1};
+      x[1] = {0, 10};
+      x[2] = {0, 8};
+      shape.k1 = 100;
+      shape.k2 = 100;
+      break;
+    }
+    case 2:
+      if (rng->NextBernoulli(0.6)) {
+        // |x0| <= 2^a, |x1| <= 2^(31-a) + d: the product's bound sits just
+        // below, at, or just past the int32 edge (d = 0 puts it exactly at
+        // INT32_MAX + 1).
+        const int a = 8 + static_cast<int>(rng->NextBounded(16));
+        const int64_t d = static_cast<int64_t>(rng->NextBounded(3)) - 1;
+        const int64_t h0 = int64_t{1} << a;
+        const int64_t h1 = (int64_t{1} << (31 - a)) + d;
+        x[0] = {rng->NextBernoulli(0.5) ? -h0 : 0, h0};
+        x[1] = {rng->NextBernoulli(0.5) ? -h1 : 0, h1};
+      } else {
+        // Beyond any int64 bound. Non-negative, so whether a sum overflows
+        // cannot depend on the order rows are added in.
+        x[0] = {0, int64_t{1} << 40};
+        x[1] = {0, int64_t{1} << 40};
+        shape.paired_extremes = true;
+        shape.overflow_rate = rng->NextBernoulli(0.5) ? 0.0 : 0.002;
+      }
+      x[2] = {0, 1};
+      break;
+    default: {
+      // (x0 - x1) fits int32; times (K + x2) it does not.
+      const int bits = 16 + static_cast<int>(rng->NextBounded(14));
+      x[0] = {-(int64_t{1} << bits), int64_t{1} << bits};
+      x[1] = {-(int64_t{1} << bits), int64_t{1} << bits};
+      x[2] = {0, (int64_t{1} << (4 + rng->NextBounded(7))) - 1};
+      shape.k1 = 1 + static_cast<int64_t>(rng->NextBounded(100));
+      break;
+    }
+  }
+  for (ValueColumn& vc : shape.cols) vc.encoding = DrawEncoding(vc, rng);
+  return shape;
+}
+
+// One row of x0..x2 into ints[first..first + 2]. Corner rows (every column
+// at an end of its domain) come often, so metadata bounds are tight and
+// the products at the bounds actually occur.
+void FillShapeRow(const ExprShape& shape, Rng* rng, size_t first,
+                  std::vector<int64_t>* ints) {
+  const ValueColumn* x = shape.cols;
+  if (shape.paired_extremes) {
+    const bool both = rng->NextBernoulli(shape.overflow_rate);
+    const bool big0 = rng->NextBernoulli(0.5);
+    (*ints)[first] = both || big0 ? rng->NextInRange(int64_t{1} << 39, x[0].hi)
+                                  : rng->NextInRange(0, 2);
+    (*ints)[first + 1] = both || !big0
+                             ? rng->NextInRange(int64_t{1} << 29, x[1].hi)
+                             : rng->NextInRange(0, 2);
+    (*ints)[first + 2] = rng->NextInRange(x[2].lo, x[2].hi);
+    return;
+  }
+  const bool corner = rng->NextBounded(16) == 0;
+  const uint64_t ends = rng->NextBounded(8);
+  for (int c = 0; c < 3; ++c) {
+    (*ints)[first + c] = corner ? ((ends >> c) & 1 ? x[c].hi : x[c].lo)
+                                : rng->NextInRange(x[c].lo, x[c].hi);
+  }
+}
+
+void AddShapeAggregates(const CaseParams& p, const ExprShape& shape,
+                        const Table& table, QuerySpec* query) {
+  const ExprPtr x0 = Expr::Column(table.FindColumn("x0"));
+  const ExprPtr x1 = Expr::Column(table.FindColumn("x1"));
+  const ExprPtr x2 = Expr::Column(table.FindColumn("x2"));
+  switch (p.expr_shape) {
+    case 1: {
+      const ExprPtr disc_price =
+          Expr::Mul(x0, Expr::Sub(Expr::Constant(shape.k1), x1));
+      query->aggregates.push_back(AggregateSpec::Sum("x0"));
+      query->aggregates.push_back(AggregateSpec::SumExpr(disc_price));
+      query->aggregates.push_back(AggregateSpec::SumExpr(
+          Expr::Mul(disc_price, Expr::Add(Expr::Constant(shape.k2), x2))));
+      query->aggregates.push_back(AggregateSpec::Avg("x1"));
+      break;
+    }
+    case 2:
+      query->aggregates.push_back(AggregateSpec::SumExpr(Expr::Mul(x0, x1)));
+      query->aggregates.push_back(AggregateSpec::Sum("x0"));
+      break;
+    default: {
+      const ExprPtr diff = Expr::Sub(x0, x1);
+      query->aggregates.push_back(AggregateSpec::SumExpr(
+          Expr::Mul(diff, Expr::Add(Expr::Constant(shape.k1), x2))));
+      query->aggregates.push_back(AggregateSpec::SumExpr(diff));
+      break;
+    }
+  }
+}
+
 BuiltCase BuildCase(const CaseParams& p) {
   Rng rng(p.seed * 6364136223846793005ULL + 1442695040888963407ULL);
   std::vector<ValueColumn> value_cols;
   bool g1_is_string = false;
-  BuiltCase built(MakeFuzzSchema(p, &rng, &value_cols, &g1_is_string));
+  Schema schema = MakeFuzzSchema(p, &rng, &value_cols, &g1_is_string);
+  Rng shape_rng(p.seed * 0x9E3779B97F4A7C15ULL + 0x2545F4914F6CDD1DULL);
+  ExprShape shape;
+  if (p.expr_shape > 0) {
+    shape = MakeExprShape(p, &shape_rng);
+    for (int c = 0; c < 3; ++c) {
+      schema.push_back({"x" + std::to_string(c), ColumnType::kInt64,
+                        shape.cols[c].encoding});
+    }
+  }
+  BuiltCase built(std::move(schema));
   Table& table = built.table;
   QuerySpec& query = built.query;
 
@@ -182,6 +310,10 @@ BuiltCase BuildCase(const CaseParams& p) {
         continue;  // keep previous value -> longer runs
       }
       ints[first_value_col + c] = rng.NextInRange(vc.lo, vc.hi);
+    }
+    if (p.expr_shape > 0) {
+      FillShapeRow(shape, &shape_rng, first_value_col + value_cols.size(),
+                   &ints);
     }
     app.AppendRow(ints, strings);
   }
@@ -271,6 +403,7 @@ BuiltCase BuildCase(const CaseParams& p) {
         break;
     }
   }
+  if (p.expr_shape > 0) AddShapeAggregates(p, shape, table, &query);
   return built;
 }
 
@@ -381,7 +514,8 @@ std::string CaseParams::ToString() const {
      << " cancel_after=" << cancel_after
      << " failpoint_prob=" << failpoint_prob
      << " sorted_fraction=" << sorted_fraction
-     << " memory_limit=" << memory_limit << " wide_segment=" << wide_segment;
+     << " memory_limit=" << memory_limit << " wide_segment=" << wide_segment
+     << " expr_shape=" << expr_shape;
   return os.str();
 }
 
@@ -448,6 +582,10 @@ CaseParams MakeCaseParams(uint64_t seed) {
   p.wide_segment = rng.NextBernoulli(0.25)
                        ? 1 + static_cast<int>(rng.NextBounded(segments))
                        : 0;
+  // Two cases in five add the expression shapes the typed expression
+  // program tells apart. Drawn last, like wide_segment.
+  p.expr_shape =
+      rng.NextBernoulli(0.4) ? 1 + static_cast<int>(rng.NextBounded(3)) : 0;
   return p;
 }
 
@@ -502,6 +640,12 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
         p.memory_limit = std::stoull(val);
       } else if (key == "wide_segment") {
         p.wide_segment = std::stoi(val);
+      } else if (key == "expr_shape") {
+        p.expr_shape = std::stoi(val);
+        if (p.expr_shape < 0 || p.expr_shape > 3) {
+          *error = "bad value for expr_shape: " + val + " (0..3)";
+          return false;
+        }
       } else {
         *error = "unknown key: " + key;
         return false;
@@ -518,8 +662,13 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
 bool RunOneCase(const CaseParams& p, std::string* error) {
   const BuiltCase built = BuildCase(p);
 
+  // An oracle overflow (some aggregated row's expression, or some sum,
+  // leaves int64) is an answer every engine must give; any other oracle
+  // error fails the case.
   auto oracle = ExecuteQueryHashAgg(built.table, built.query);
-  if (!oracle.ok()) {
+  const bool overflow =
+      !oracle.ok() && oracle.status().code() == StatusCode::kOverflowRisk;
+  if (!oracle.ok() && !overflow) {
     *error = "oracle failed: " + oracle.status().ToString();
     return false;
   }
@@ -527,7 +676,16 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
   // the oracle answers to the naive engine, which shares no aggregation
   // code with either.
   auto naive = ExecuteQueryNaive(built.table, built.query);
-  if (naive.ok()) {
+  const bool naive_overflow =
+      !naive.ok() && naive.status().code() == StatusCode::kOverflowRisk;
+  if (naive_overflow != overflow) {
+    *error = std::string("hash oracle ") +
+             (overflow ? "reports" : "does not report") +
+             " overflow, naive engine: " +
+             (naive.ok() ? std::string("OK") : naive.status().ToString());
+    return false;
+  }
+  if (naive.ok() && !overflow) {
     std::string diff;
     if (!ResultsAgree(oracle.value(), naive.value(), "hash oracle vs naive",
                       &diff)) {
@@ -553,16 +711,24 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
       const bool forced = plan.options.overrides.selection.has_value() ||
                           plan.options.overrides.aggregation.has_value() ||
                           plan.options.overrides.byteslice.has_value();
-      // Forced plans may reject shapes outside their envelope; the checked
-      // scalar path may abort instead of overflowing. Anything else is a
-      // bug, as is a clean rejection from the adaptive plan (it must hash
-      // the segment instead).
+      // Forced plans may reject shapes outside their envelope, and a forced
+      // aggregation strategy rejects a segment whose sums metadata cannot
+      // prove int64-safe; every plan reports the oracle's overflow. Anything
+      // else is a bug, as is a clean rejection from the adaptive plan (it
+      // must hash the segment instead).
       if (forced && code == StatusCode::kNotSupported) continue;
-      if (code == StatusCode::kOverflowRisk) continue;
+      if (code == StatusCode::kOverflowRisk &&
+          (overflow || plan.options.overrides.aggregation.has_value())) {
+        continue;
+      }
       if (p.failpoint_prob > 0 && code == StatusCode::kResourceExhausted) {
         continue;  // clean degradation under injected allocation failure
       }
       *error = plan.name + ": unexpected error " + got.status().ToString();
+      return false;
+    }
+    if (overflow) {
+      *error = plan.name + ": returned a result where the oracle overflows";
       return false;
     }
     // The stats-invariant oracle (tests/test_util.h): every successful scan
@@ -614,6 +780,10 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
         *error = plan_name + ": unexpected error " + got.status().ToString();
         return false;
       }
+      if (overflow) {
+        *error = plan_name + ": returned a result where the oracle overflows";
+        return false;
+      }
       std::string diff;
       if (!ResultsAgree(got.value(), oracle.value(), plan_name, &diff)) {
         *error = diff + " (partial result escaped a cancelled scan?)";
@@ -660,6 +830,10 @@ bool RunOneCase(const CaseParams& p, std::string* error) {
         *error = plan_name + ": unexpected error " + got.status().ToString();
         return false;
       }
+      if (overflow) {
+        *error = plan_name + ": returned a result where the oracle overflows";
+        return false;
+      }
       std::string diff;
       if (!ResultsAgree(got.value(), oracle.value(), plan_name, &diff)) {
         *error = diff + " (partial result escaped a memory-limited scan?)";
@@ -702,6 +876,7 @@ CaseParams Shrink(const CaseParams& p) {
     }
     if (best.wide_segment > 0) add([](CaseParams& c) { c.wide_segment = 0; });
     if (best.wide_segment > 1) add([](CaseParams& c) { c.wide_segment = 1; });
+    if (best.expr_shape > 0) add([](CaseParams& c) { c.expr_shape = 0; });
     if (best.num_threads != 1) add([](CaseParams& c) { c.num_threads = 1; });
     for (const CaseParams& c : candidates) {
       if (!RunOneCase(c, &scratch)) {  // still fails -> keep the reduction

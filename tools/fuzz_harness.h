@@ -70,6 +70,14 @@ struct CaseParams {
   int wide_segment = 0;  // >0 gives segment wide_segment - 1 a 300-value g1
                          // domain while the others keep group_card, so one
                          // segment runs hashed beside specialized ones
+  int expr_shape = 0;    // >0 adds columns x0..x2 and expression sums over
+                         // them in a shape the typed expression program
+                         // tells apart: 1 = TPC-H Q1's x0 * (K - x1) and
+                         // its product with (K2 + x2), sharing the subtree;
+                         // 2 = x0 * x1 with bounds at the 2^31 edge, or
+                         // beyond int64 with or without rows that overflow;
+                         // 3 = an int32 node under a root that does not fit
+                         // int32
 
   // Replay line, e.g. "seed=42 rows=375 segment_rows=128 ...". Parsed back
   // by ParseCaseParams.
@@ -95,10 +103,14 @@ bool ParseCaseParams(const std::string& text, CaseParams* out,
 //   * when p.cancel_after > 0, a cancellation pass per execution model:
 //     a context that cancels after p.cancel_after checks must yield
 //     kCancelled or the exact oracle result, never a partial one.
-// A plan may reject cleanly with kNotSupported (infeasible strategy for the
-// shape) or abort with kOverflowRisk (checked path); any other error, or any
-// result row differing from the oracle, is a failure. Returns true when the
-// case is green; otherwise fills *error with a human-readable diagnosis.
+// A forced plan may reject cleanly with kNotSupported (infeasible strategy
+// for the shape), and a forced aggregation strategy with kOverflowRisk
+// (sums metadata cannot prove int64-safe). When the oracle itself reports
+// kOverflowRisk (some aggregated row's expression or some sum leaves
+// int64), the naive engine and every plan must report it too. Any other
+// error, or any result row differing from the oracle, is a failure.
+// Returns true when the case is green; otherwise fills *error with a
+// human-readable diagnosis.
 bool RunOneCase(const CaseParams& p, std::string* error);
 
 // Greedily shrinks a failing case: tries field reductions in a fixed order,
